@@ -4,11 +4,13 @@
  * the main building blocks, useful for tracking regressions in the
  * simulation infrastructure itself.
  *
- * The `BM_Engine*` / `BM_Dispatch*` benches are the end-to-end event
- * engine throughput trajectory: `items_per_second` is simulated requests
- * per wall-clock second (each iteration processes a fixed request
- * count). Snapshots are committed as `BENCH_baseline.json` via
- * `tools/bench_to_json.py` and guarded by
+ * The `BM_Engine*` / `BM_Dispatch*` / `BM_Cluster*` benches are the
+ * event-engine throughput trajectory: `items_per_second` is simulated
+ * requests per wall-clock second (each iteration processes a fixed
+ * request count). `BM_CoreCycleColocated` (simulated cycles per second)
+ * and `BM_OpPointMeasure` (cold operating points per second) track the
+ * core model underneath them. Snapshots are committed as
+ * `BENCH_baseline.json` via `tools/bench_to_json.py` and guarded by
  * `tools/bench_regression_check.py` in the CI bench job.
  */
 
@@ -24,7 +26,9 @@
 #include "queueing/arrivals.h"
 #include "queueing/event_engine.h"
 #include "queueing/request_sim.h"
+#include "scenario/presets.h"
 #include "sim/fleet.h"
+#include "sim/op_point_cache.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -93,6 +97,27 @@ BM_CoreCycleColocated(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoreCycleColocated);
+
+/** One operating-point measurement on the miss path: the presets' core
+ *  RunConfig through a freshly cleared OperatingPointCache, so every
+ *  iteration is a full cold `sim::run` (machine build, LLC prefill,
+ *  warmup and measurement of every sample) at full sampling scale.
+ *  items_per_second is operating points measured per second. */
+void
+BM_OpPointMeasure(benchmark::State &state)
+{
+    sim::setQuickFactor(1.0);
+    const sim::RunConfig cfg =
+        scenario::preset("fig13-sw-scheduling").cores.front();
+    sim::OperatingPointCache &cache = sim::OperatingPointCache::instance();
+    for (auto _ : state) {
+        cache.clear();
+        benchmark::DoNotOptimize(cache.measure(cfg).totalCycles);
+    }
+    cache.clear();
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OpPointMeasure)->Unit(benchmark::kMillisecond);
 
 void
 BM_QueueingRequest(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "cache/cache.h"
 
+#include <algorithm>
+
 #include "util/log.h"
 
 namespace stretch
@@ -24,56 +26,44 @@ Cache::Cache(const CacheConfig &cfg) : cfg(cfg)
     STRETCH_ASSERT(blocks % cfg.assoc == 0, "size/assoc mismatch");
     sets = blocks / cfg.assoc;
     STRETCH_ASSERT(isPow2(sets), "set count must be a power of two");
-    if (!cfg.wayPartition.empty()) {
+    if (cfg.wayPartition.empty()) {
+        for (ThreadId t = 0; t < numSmtThreads; ++t)
+            wayCount[t] = cfg.assoc;
+    } else {
         STRETCH_ASSERT(cfg.wayPartition.size() == numSmtThreads,
                        "way partition needs one entry per thread");
         unsigned total = 0;
-        for (unsigned w : cfg.wayPartition)
-            total += w;
+        for (ThreadId t = 0; t < numSmtThreads; ++t) {
+            wayFirst[t] = total;
+            wayCount[t] = cfg.wayPartition[t];
+            total += cfg.wayPartition[t];
+        }
         STRETCH_ASSERT(total <= cfg.assoc, "way partition exceeds assoc");
     }
-    lines.assign(sets * cfg.assoc, Line{});
+    numWays = sets * cfg.assoc;
+    state.reserve(2 * numWays + (numWays + 63) / 64);
+    state.assign(numWays, invalidTag);
+    state.resize(state.capacity(), 0);
 }
 
-void
-Cache::threadWays(ThreadId tid, unsigned &first, unsigned &count) const
+std::int64_t
+Cache::findWay(Addr blk) const
 {
-    if (cfg.wayPartition.empty()) {
-        first = 0;
-        count = cfg.assoc;
-        return;
-    }
-    first = 0;
-    for (ThreadId t = 0; t < tid; ++t)
-        first += cfg.wayPartition[t];
-    count = cfg.wayPartition[tid];
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    Addr blk = blockAddr(addr);
-    std::uint64_t set = blk & (sets - 1);
-    Line *row = &lines[set * cfg.assoc];
+    std::uint64_t base = (blk & (sets - 1)) * cfg.assoc;
+    const Addr *row = tags() + base;
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (row[w].valid && row[w].tag == blk)
-            return &row[w];
+        if (row[w] == blk)
+            return static_cast<std::int64_t>(base + w);
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
+    return -1;
 }
 
 bool
 Cache::access(ThreadId tid, Addr addr)
 {
-    Line *line = findLine(addr);
-    if (line) {
-        line->lastUse = ++useClock;
+    std::int64_t way = findWay(blockAddr(addr));
+    if (way >= 0) {
+        lastUse()[way] = ++useClock;
         ++hitCount[tid];
         return true;
     }
@@ -84,61 +74,69 @@ Cache::access(ThreadId tid, Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(addr) != nullptr;
+    return findWay(blockAddr(addr)) >= 0;
 }
 
 bool
-Cache::insert(ThreadId tid, Addr addr, bool dirty, bool &evicted_dirty)
+Cache::insert(ThreadId tid, Addr addr, bool dirty_fill, bool &evicted_dirty)
 {
-    evicted_dirty = false;
     Addr blk = blockAddr(addr);
-    std::uint64_t set = blk & (sets - 1);
-    Line *row = &lines[set * cfg.assoc];
+    Addr *tag = tags();
+    std::uint64_t *stamp = lastUse();
+    std::uint64_t *dirty = dirtyBits();
+    const auto dirtyBit = [](std::uint64_t w) {
+        return std::uint64_t(1) << (w & 63);
+    };
 
     // Already present (e.g. racing prefetch): refresh.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (row[w].valid && row[w].tag == blk) {
-            row[w].lastUse = ++useClock;
-            row[w].dirty = row[w].dirty || dirty;
-            return false;
-        }
+    evicted_dirty = false;
+    std::int64_t hit = findWay(blk);
+    if (hit >= 0) {
+        stamp[hit] = ++useClock;
+        if (dirty_fill)
+            dirty[hit >> 6] |= dirtyBit(hit);
+        return false;
     }
 
-    unsigned first = 0, count = 0;
-    threadWays(tid, first, count);
-    STRETCH_ASSERT(count > 0, "thread ", unsigned(tid),
+    STRETCH_ASSERT(wayCount[tid] > 0, "thread ", unsigned(tid),
                    " has zero ways in partition");
 
-    Line *victim = nullptr;
-    for (unsigned w = first; w < first + count; ++w) {
-        if (!row[w].valid) {
-            victim = &row[w];
+    // First empty way of the partition, else its least recently used.
+    std::uint64_t first = (blk & (sets - 1)) * cfg.assoc + wayFirst[tid];
+    std::uint64_t end = first + wayCount[tid];
+    std::uint64_t victim = first;
+    for (std::uint64_t w = first; w < end; ++w) {
+        if (tag[w] == invalidTag) {
+            victim = w;
             break;
         }
-        if (!victim || row[w].lastUse < victim->lastUse)
-            victim = &row[w];
+        if (stamp[w] < stamp[victim])
+            victim = w;
     }
-    bool evicted = victim->valid;
-    evicted_dirty = victim->valid && victim->dirty;
-    victim->valid = true;
-    victim->tag = blk;
-    victim->dirty = dirty;
-    victim->lastUse = ++useClock;
+    bool evicted = tag[victim] != invalidTag;
+    evicted_dirty = evicted && (dirty[victim >> 6] & dirtyBit(victim));
+    tag[victim] = blk;
+    if (dirty_fill)
+        dirty[victim >> 6] |= dirtyBit(victim);
+    else
+        dirty[victim >> 6] &= ~dirtyBit(victim);
+    stamp[victim] = ++useClock;
     return evicted;
 }
 
 void
 Cache::setDirty(Addr addr)
 {
-    if (Line *line = findLine(addr))
-        line->dirty = true;
+    std::int64_t way = findWay(blockAddr(addr));
+    if (way >= 0)
+        dirtyBits()[way >> 6] |= std::uint64_t(1) << (way & 63);
 }
 
 void
 Cache::reset()
 {
-    for (auto &l : lines)
-        l = Line{};
+    std::fill(state.begin(), state.begin() + numWays, invalidTag);
+    std::fill(state.begin() + numWays, state.end(), 0);
     useClock = 0;
     for (auto &h : hitCount)
         h = 0;

@@ -54,12 +54,20 @@ class Cache
     bool probe(Addr addr) const;
 
     /**
+     * Count a miss of @p tid without a lookup. Only for a caller that
+     * knows the block is still absent: a repeat of a missed access with
+     * no insert since.
+     */
+    void countMiss(ThreadId tid) { ++missCount[tid]; }
+
+    /**
      * Install a block, evicting within the thread's way-partition.
-     * @param dirty marks the installed block dirty (store fill).
+     * @param dirty_fill marks the installed block dirty (store fill).
      * @param evicted_dirty set true if a dirty victim was evicted.
      * @return true if a valid block was evicted.
      */
-    bool insert(ThreadId tid, Addr addr, bool dirty, bool &evicted_dirty);
+    bool insert(ThreadId tid, Addr addr, bool dirty_fill,
+                bool &evicted_dirty);
 
     /** Mark an existing block dirty (store hit); no-op on miss. */
     void setDirty(Addr addr);
@@ -93,23 +101,32 @@ class Cache
     /// @}
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of an empty way. Block addresses are byte addresses shifted
+     *  right by cacheBlockShift, so none can equal it. */
+    static constexpr Addr invalidTag = ~Addr(0);
 
-    /** Ways reserved for a thread: [firstWay, firstWay+numWays). */
-    void threadWays(ThreadId tid, unsigned &first, unsigned &count) const;
+    /** Index of the way holding @p blk, or -1 on a miss. */
+    std::int64_t findWay(Addr blk) const;
 
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    // Per-way state as structure-of-arrays in one allocation, each array
+    // sets * assoc long and row-major by set: the tags (a lookup scans
+    // one contiguous row), the LRU stamps, then a dirty bitmap. One block
+    // instead of three keeps a machine's per-sample allocate/free pattern
+    // (the LLC arrays are megabytes) from crossing the C allocator's
+    // heap-trim threshold, which would return and re-fault the pages on
+    // every sample.
+    Addr *tags() { return state.data(); }
+    const Addr *tags() const { return state.data(); }
+    std::uint64_t *lastUse() { return state.data() + numWays; }
+    std::uint64_t *dirtyBits() { return state.data() + 2 * numWays; }
 
     CacheConfig cfg;
     std::uint64_t sets;
-    std::vector<Line> lines; // sets * assoc, row-major by set
+    std::uint64_t numWays; ///< sets * assoc
+    /** Ways reserved per thread: [wayFirst, wayFirst + wayCount). */
+    unsigned wayFirst[numSmtThreads] = {0, 0};
+    unsigned wayCount[numSmtThreads] = {0, 0};
+    std::vector<std::uint64_t> state;
     std::uint64_t useClock = 0;
     std::uint64_t hitCount[numSmtThreads] = {0, 0};
     std::uint64_t missCount[numSmtThreads] = {0, 0};

@@ -36,7 +36,11 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg)
         l1i.emplace_back(cfg.l1i);
     for (unsigned i = 0; i < dcount; ++i)
         l1d.emplace_back(cfg.l1d);
-    mshrFiles.assign(dcount, std::vector<Mshr>(cfg.mshrs));
+    STRETCH_ASSERT(cfg.mshrs > 0 && cfg.mshrs <= 64,
+                   "MSHR file size must be in [1, 64]");
+    mshrFiles.resize(dcount);
+    for (MshrFile &file : mshrFiles)
+        file.slots.resize(cfg.mshrs);
 }
 
 Cache &
@@ -58,18 +62,29 @@ MemoryHierarchy::tick(Cycle now)
         bankCycle = now;
         bankBusy = {0, 0};
     }
-    // Complete due fills: install into the L1-D and release the MSHR.
-    for (auto &file : mshrFiles) {
-        for (auto &m : file) {
-            if (m.valid && m.readyCycle <= now) {
-                bool evicted_dirty = false;
-                l1dFor(m.tid).insert(m.tid, m.block << cacheBlockShift,
-                                     false, evicted_dirty);
-                // Dirty writeback timing is not modeled.
-                if (m.demand && m.toMemory)
-                    --demandOut[m.tid];
-                m.valid = false;
+    if (now < nextFill)
+        return;
+    // Complete due fills in slot order: install into the L1-D and
+    // release the MSHR.
+    nextFill = ~Cycle(0);
+    for (unsigned inst = 0; inst < mshrFiles.size(); ++inst) {
+        MshrFile &file = mshrFiles[inst];
+        for (std::uint64_t live = file.validMask; live; live &= live - 1) {
+            unsigned i = static_cast<unsigned>(__builtin_ctzll(live));
+            const Mshr &m = file.slots[i];
+            if (m.readyCycle > now) {
+                nextFill = std::min(nextFill, m.readyCycle);
+                continue;
             }
+            bool evicted_dirty = false;
+            l1d[inst].insert(m.tid, m.block << cacheBlockShift, false,
+                             evicted_dirty);
+            // Dirty writeback timing is not modeled.
+            if (m.demand && m.toMemory)
+                --demandOut[m.tid];
+            file.validMask &= ~(std::uint64_t(1) << i);
+            --file.inUse[m.tid];
+            ++file.epoch;
         }
     }
 }
@@ -100,24 +115,39 @@ MemoryHierarchy::instrFetch(ThreadId tid, Addr pc, Cycle now)
 }
 
 MemoryHierarchy::Mshr *
-MemoryHierarchy::findMshr(unsigned inst, Addr block)
+MemoryHierarchy::findMshr(MshrFile &file, Addr block)
 {
-    for (auto &m : mshrFiles[inst]) {
-        if (m.valid && m.block == block)
+    for (std::uint64_t live = file.validMask; live; live &= live - 1) {
+        Mshr &m = file.slots[__builtin_ctzll(live)];
+        if (m.block == block)
             return &m;
     }
     return nullptr;
 }
 
-unsigned
-MemoryHierarchy::mshrInUse(unsigned inst, ThreadId tid) const
+MemoryHierarchy::Mshr *
+MemoryHierarchy::allocateMshr(MshrFile &file, ThreadId tid, Addr addr,
+                              bool demand, Cycle now)
 {
-    unsigned n = 0;
-    for (const auto &m : mshrFiles[inst]) {
-        if (m.valid && m.tid == tid)
-            ++n;
-    }
-    return n;
+    std::uint64_t all = file.slots.size() == 64
+                            ? ~std::uint64_t(0)
+                            : (std::uint64_t(1) << file.slots.size()) - 1;
+    std::uint64_t free = all & ~file.validMask;
+    if (!free)
+        return nullptr;
+    unsigned i = static_cast<unsigned>(__builtin_ctzll(free));
+    file.validMask |= std::uint64_t(1) << i;
+    ++file.inUse[tid];
+    ++file.epoch;
+    Mshr &m = file.slots[i];
+    m.block = blockAddr(addr);
+    m.tid = tid;
+    m.demand = demand;
+    unsigned lat = llcAccess(tid, addr);
+    m.readyCycle = now + lat;
+    m.toMemory = lat > cfg.llcLatency;
+    nextFill = std::min(nextFill, m.readyCycle);
+    return &m;
 }
 
 void
@@ -127,42 +157,28 @@ MemoryHierarchy::tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now)
         return;
     prefetchScratch.clear();
     prefetcher.observe(tid, pc, addr, prefetchScratch);
-    unsigned inst = l1dInstance(tid);
+    MshrFile &file = mshrFiles[l1dInstance(tid)];
     Cache &cache = l1dFor(tid);
     // Prefetches may not exhaust the thread's MSHR quota: two entries stay
     // reserved for demand misses so streams cannot starve random accesses.
     unsigned quota = cfg.mshrQuota[tid] > 2 ? cfg.mshrQuota[tid] - 2 : 0;
     for (Addr target : prefetchScratch) {
-        if (cache.probe(target) || findMshr(inst, blockAddr(target)))
+        if (cache.probe(target) || findMshr(file, blockAddr(target)))
             continue;
-        if (mshrInUse(inst, tid) >= quota)
+        if (file.inUse[tid] >= quota ||
+            !allocateMshr(file, tid, target, false, now))
             break;
-        Mshr *slot = nullptr;
-        for (auto &m : mshrFiles[inst]) {
-            if (!m.valid) {
-                slot = &m;
-                break;
-            }
-        }
-        if (!slot)
-            break;
-        slot->valid = true;
-        slot->demand = false;
-        slot->tid = tid;
-        slot->block = blockAddr(target);
-        unsigned lat = llcAccess(tid, target);
-        slot->readyCycle = now + lat;
-        slot->toMemory = lat > cfg.llcLatency;
     }
 }
 
 DataAccessResult
 MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
-                            Cycle now)
+                            Cycle now, std::uint64_t parked_epoch)
 {
     DataAccessResult res;
     unsigned inst = l1dInstance(tid);
-    Cache &cache = l1dFor(tid);
+    Cache &cache = l1d[inst];
+    MshrFile &file = mshrFiles[inst];
 
     // Bank port arbitration: one access per bank per cycle.
     STRETCH_ASSERT(bankCycle == now,
@@ -173,6 +189,21 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
         res.kind = DataAccessKind::BankBusy;
         res.readyCycle = now + 1;
         return res;
+    }
+
+    auto mshrFull = [&] {
+        ++mshrFullCount[tid];
+        res.kind = DataAccessKind::MshrFull;
+        res.readyCycle = now + 1;
+        res.mshrEpoch = file.epoch;
+        return res;
+    };
+
+    // A parked retry with no MSHR allocation or fill since: still an L1-D
+    // miss with no MSHR to merge into or claim.
+    if (parked_epoch == file.epoch) {
+        cache.countMiss(tid);
+        return mshrFull();
     }
 
     if (cache.access(tid, addr)) {
@@ -187,8 +218,7 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
     }
 
     // Miss: merge into a pending MSHR if one covers this block.
-    Addr block = blockAddr(addr);
-    if (Mshr *m = findMshr(inst, block)) {
+    if (Mshr *m = findMshr(file, blockAddr(addr))) {
         bankBusy[inst] |= mask;
         ++l1dMissCount[tid];
         if (!m->demand && !is_store) {
@@ -204,35 +234,14 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
     }
 
     // Need a fresh MSHR, subject to the per-thread quota.
-    if (mshrInUse(inst, tid) >= cfg.mshrQuota[tid]) {
-        ++mshrFullCount[tid];
-        res.kind = DataAccessKind::MshrFull;
-        res.readyCycle = now + 1;
-        return res;
-    }
-    Mshr *slot = nullptr;
-    for (auto &m : mshrFiles[inst]) {
-        if (!m.valid) {
-            slot = &m;
-            break;
-        }
-    }
-    if (!slot) {
-        ++mshrFullCount[tid];
-        res.kind = DataAccessKind::MshrFull;
-        res.readyCycle = now + 1;
-        return res;
-    }
+    if (file.inUse[tid] >= cfg.mshrQuota[tid])
+        return mshrFull();
+    Mshr *slot = allocateMshr(file, tid, addr, !is_store, now);
+    if (!slot)
+        return mshrFull();
 
     bankBusy[inst] |= mask;
     ++l1dMissCount[tid];
-    slot->valid = true;
-    slot->demand = !is_store;
-    slot->tid = tid;
-    slot->block = block;
-    unsigned lat = llcAccess(tid, addr);
-    slot->readyCycle = now + lat;
-    slot->toMemory = lat > cfg.llcLatency;
     if (slot->demand && slot->toMemory)
         ++demandOut[tid];
 
@@ -266,8 +275,13 @@ MemoryHierarchy::reset()
         c.reset();
     llc.reset();
     prefetcher.reset();
-    for (auto &file : mshrFiles)
-        std::fill(file.begin(), file.end(), Mshr{});
+    for (MshrFile &file : mshrFiles) {
+        std::fill(file.slots.begin(), file.slots.end(), Mshr{});
+        file.validMask = 0;
+        file.inUse = {0, 0};
+        ++file.epoch; // never 0, and no access parked before matches it
+    }
+    nextFill = ~Cycle(0);
     bankCycle = ~Cycle(0);
     bankBusy = {0, 0};
     demandOut = {0, 0};
@@ -303,6 +317,7 @@ MemoryHierarchy::clearStats()
     for (auto &c : l1d)
         c.clearStats();
     llc.clearStats();
+    prefetcher.clearStats();
 }
 
 std::uint64_t

@@ -73,6 +73,11 @@ struct DataAccessResult
     DataAccessKind kind = DataAccessKind::Hit;
     /** Cycle when the loaded data is available to dependents. */
     Cycle readyCycle = 0;
+    /**
+     * MshrFull only: the MSHR epoch of the thread's L1-D instance. Pass
+     * it back to dataAccess when retrying the same access.
+     */
+    std::uint64_t mshrEpoch = 0;
 };
 
 /**
@@ -103,9 +108,19 @@ class MemoryHierarchy
      * merges into an MSHR and returns the fill cycle. Stores write-allocate
      * but complete into the store buffer immediately (the returned
      * readyCycle for stores is now + 1).
+     *
+     * A retry of an access that returned MshrFull passes that result's
+     * mshrEpoch as @p parked_epoch. The epoch of an L1-D instance changes
+     * on every MSHR allocation and fill, and nothing else changes which
+     * blocks its L1-D and MSHR file hold. While it is unchanged the retry
+     * is bound to miss and find no MSHR again, so after the bank check it
+     * only counts the L1-D miss and the MSHR-full stall, skipping both
+     * lookups. Outcomes and counters are exactly those of a full lookup.
+     * 0 (the default) never matches an epoch.
      */
     DataAccessResult dataAccess(ThreadId tid, Addr pc, Addr addr,
-                                bool is_store, Cycle now);
+                                bool is_store, Cycle now,
+                                std::uint64_t parked_epoch = 0);
 
     /**
      * Pre-install a thread's steady-state blocks into its LLC partition
@@ -150,9 +165,18 @@ class MemoryHierarchy
         Addr block = 0;
         Cycle readyCycle = 0;
         ThreadId tid = 0;
-        bool valid = false;
         bool demand = false;   // at least one demand (non-prefetch) consumer
         bool toMemory = false; // missed the LLC (a true memory request)
+    };
+
+    /** The MSHRs of one L1-D instance. */
+    struct MshrFile
+    {
+        std::vector<Mshr> slots;
+        std::uint64_t validMask = 0; ///< bit i set = slots[i] in use
+        std::array<unsigned, numSmtThreads> inUse{0, 0}; ///< per thread
+        /** Bumped on every allocation and fill (see dataAccess). */
+        std::uint64_t epoch = 1;
     };
 
     Cache &l1iFor(ThreadId tid);
@@ -165,8 +189,14 @@ class MemoryHierarchy
     /** LLC lookup + fill; returns total latency beyond L1. */
     unsigned llcAccess(ThreadId tid, Addr addr);
 
-    Mshr *findMshr(unsigned inst, Addr block);
-    unsigned mshrInUse(unsigned inst, ThreadId tid) const;
+    Mshr *findMshr(MshrFile &file, Addr block);
+    /**
+     * Claim the lowest free slot of @p file for a miss on @p addr and
+     * look the block up in the LLC. Returns nullptr when every slot is
+     * in use.
+     */
+    Mshr *allocateMshr(MshrFile &file, ThreadId tid, Addr addr, bool demand,
+                       Cycle now);
     void tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now);
 
     HierarchyConfig cfg;
@@ -176,7 +206,10 @@ class MemoryHierarchy
     StridePrefetcher prefetcher;
 
     // One MSHR file per L1-D instance.
-    std::vector<std::vector<Mshr>> mshrFiles;
+    std::vector<MshrFile> mshrFiles;
+    /** Earliest readyCycle over all in-use MSHRs (tick has no fill to
+     *  complete before it). */
+    Cycle nextFill = ~Cycle(0);
 
     // Per-cycle bank arbitration for the (up to two) L1-D instances.
     Cycle bankCycle = ~Cycle(0);

@@ -40,6 +40,9 @@ class StridePrefetcher
     /** Drop all training state. */
     void reset();
 
+    /** Zero the issued counter, keeping the training state. */
+    void clearStats() { issuedCount = 0; }
+
     /** Prefetch candidates emitted so far. */
     std::uint64_t issued() const { return issuedCount; }
 

@@ -15,8 +15,11 @@ SmtCore::SmtCore(const CoreParams &params, MemoryHierarchy &hierarchy,
     STRETCH_ASSERT(params.fetchWidth > 0 && params.commitWidth > 0 &&
                        params.dispatchWidth > 0 && params.issueWidth > 0,
                    "zero pipeline width");
-    for (auto &ts : threads)
+    for (auto &ts : threads) {
         ts.ring.resize(params.robEntries);
+        ts.readyMask.assign((params.robEntries + 63) / 64, 0);
+        ts.fetchBuf.resize(params.fetchBufferEntries);
+    }
     // Default: Intel-style equal static partitioning (Section IV-B).
     robRes.configure(ShareMode::Partitioned, params.robEntries / 2,
                      params.robEntries / 2);
@@ -28,7 +31,7 @@ void
 SmtCore::attachThread(ThreadId tid, TraceGenerator *gen)
 {
     STRETCH_ASSERT(tid < numSmtThreads, "bad thread id");
-    STRETCH_ASSERT(threads[tid].count == 0 && threads[tid].fetchBuf.empty(),
+    STRETCH_ASSERT(threads[tid].count == 0 && threads[tid].fetchCount == 0,
                    "attachThread with instructions in flight");
     threads[tid].gen = gen;
     threads[tid].replay.clear();
@@ -68,8 +71,11 @@ SmtCore::flushThread(ThreadId tid)
         e.valid = false;
         e.consumers.clear();
     }
-    for (const auto &fo : ts.fetchBuf)
-        replay.push_back(fo.op);
+    for (std::uint32_t n = 0; n < ts.fetchCount; ++n) {
+        replay.push_back(
+            ts.fetchBuf[ringAdd(ts.fetchHead, n, params.fetchBufferEntries)]
+                .op);
+    }
     if (ts.pendingValid) {
         replay.push_back(ts.pending);
         ts.pendingValid = false;
@@ -77,8 +83,9 @@ SmtCore::flushThread(ThreadId tid)
     for (const auto &op : ts.replay)
         replay.push_back(op);
     ts.replay = std::move(replay);
-    ts.fetchBuf.clear();
-    ts.readyList.clear();
+    ts.fetchHead = 0;
+    ts.fetchCount = 0;
+    std::fill(ts.readyMask.begin(), ts.readyMask.end(), 0);
     ts.head = 0;
     ts.count = 0;
     ts.regSeq.fill(0);
@@ -93,9 +100,9 @@ unsigned
 SmtCore::icount(ThreadId tid) const
 {
     const ThreadState &ts = threads[tid];
-    if (!ts.gen && ts.count == 0 && ts.fetchBuf.empty())
+    if (!ts.gen && ts.count == 0 && ts.fetchCount == 0)
         return ~0u; // detached thread never wins selection
-    return static_cast<unsigned>(ts.fetchBuf.size()) + robRes.usage(tid);
+    return ts.fetchCount + robRes.usage(tid);
 }
 
 ThreadId
@@ -138,7 +145,7 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
     unsigned branches_seen = 0;
     Addr last_block = ~Addr(0);
 
-    while (budget > 0 && ts.fetchBuf.size() < params.fetchBufferEntries) {
+    while (budget > 0 && ts.fetchCount < params.fetchBufferEntries) {
         if (!ts.pendingValid) {
             if (!ts.replay.empty()) {
                 ts.pending = ts.replay.front();
@@ -203,7 +210,9 @@ SmtCore::fetchThread(ThreadId tid, unsigned &budget)
             }
         }
 
-        ts.fetchBuf.push_back(fo);
+        ts.fetchBuf[ringAdd(ts.fetchHead, ts.fetchCount,
+                            params.fetchBufferEntries)] = fo;
+        ++ts.fetchCount;
         ts.pendingValid = false;
         --budget;
         ++tstats[tid].fetchedOps;
@@ -239,8 +248,8 @@ void
 SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
 {
     ThreadState &ts = threads[tid];
-    while (budget > 0 && !ts.fetchBuf.empty()) {
-        const FetchedOp &fo = ts.fetchBuf.front();
+    while (budget > 0 && ts.fetchCount > 0) {
+        const FetchedOp &fo = ts.fetchBuf[ts.fetchHead];
         bool is_mem = fo.op.isMem();
         if (!robRes.canAllocate(tid)) {
             ++tstats[tid].dispatchStallRob;
@@ -260,6 +269,7 @@ SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
         e.waitCount = 0;
         e.valid = true;
         e.mispredicted = fo.mispredicted;
+        e.parkedEpoch = 0;
         e.consumers.clear();
         ++ts.count;
         robRes.allocate(tid);
@@ -290,10 +300,11 @@ SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
 
         if (e.waitCount == 0) {
             e.state = EntryState::Ready;
-            ts.readyList.push_back(slot);
+            markReady(ts, slot);
         }
 
-        ts.fetchBuf.pop_front();
+        ts.fetchHead = ringAdd(ts.fetchHead, 1, params.fetchBufferEntries);
+        --ts.fetchCount;
         --budget;
     }
 }
@@ -319,111 +330,138 @@ SmtCore::scheduleCompletion(ThreadId tid, std::uint32_t slot,
     evRing[when % evRingSize].push_back({tid, slot, seq});
 }
 
+namespace
+{
+
+/** First set bit of @p mask in [from, to), or @p to when there is none. */
+std::uint32_t
+findSet(const std::vector<std::uint64_t> &mask, std::uint32_t from,
+        std::uint32_t to)
+{
+    while (from < to) {
+        std::uint64_t bits = mask[from >> 6] >> (from & 63);
+        if (bits) {
+            std::uint32_t s =
+                from + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+            return s < to ? s : to;
+        }
+        from = (from | 63) + 1;
+    }
+    return to;
+}
+
+} // namespace
+
+SmtCore::ReadyCursor
+SmtCore::firstReady(const ThreadState &ts) const
+{
+    ReadyCursor c{0, params.robEntries, false};
+    seekReady(ts, c, ts.head);
+    return c;
+}
+
+void
+SmtCore::seekReady(const ThreadState &ts, ReadyCursor &c,
+                   std::uint32_t from) const
+{
+    c.slot = findSet(ts.readyMask, from, c.end);
+    if (c.slot == c.end && !c.wrapped) {
+        c.wrapped = true;
+        c.end = ts.head;
+        c.slot = findSet(ts.readyMask, 0, c.end);
+    }
+}
+
+unsigned
+SmtCore::readyOps(ThreadId tid) const
+{
+    unsigned n = 0;
+    for (std::uint64_t word : threads[tid].readyMask)
+        n += static_cast<unsigned>(__builtin_popcountll(word));
+    return n;
+}
+
 void
 SmtCore::doIssue()
 {
-    // Gather ready candidates from both threads, oldest first.
-    issueScratch.clear();
-    for (ThreadId t = 0; t < numSmtThreads; ++t) {
-        ThreadState &ts = threads[t];
-        auto keep = ts.readyList.begin();
-        for (std::uint32_t slot : ts.readyList) {
-            Entry &e = ts.ring[slot];
-            if (e.valid && e.state == EntryState::Ready) {
-                issueScratch.push_back({e.seq, t, slot});
-                *keep++ = slot;
-            }
-        }
-        ts.readyList.erase(keep, ts.readyList.end());
-    }
-    std::sort(issueScratch.begin(), issueScratch.end(),
-              [](const IssueCand &a, const IssueCand &b) {
-                  return a.seq < b.seq;
-              });
-
     unsigned budget = params.issueWidth;
     unsigned alu = params.intAluCount;
     unsigned mul = params.intMulCount;
     unsigned fpu = params.fpuCount;
     unsigned lsu = params.lsuCount;
 
-    for (const IssueCand &cand : issueScratch) {
-        if (budget == 0)
-            break;
-        ThreadState &ts = threads[cand.tid];
-        Entry &e = ts.ring[cand.slot];
-        if (!e.valid || e.seq != cand.seq || e.state != EntryState::Ready)
-            continue;
+    // Oldest first across both threads: each thread's ready mask walks in
+    // age order, and the two walks merge by the global sequence number.
+    std::array<ReadyCursor, numSmtThreads> cur{firstReady(threads[0]),
+                                               firstReady(threads[1])};
+    while (budget > 0) {
+        ThreadId t;
+        if (cur[0].done()) {
+            if (cur[1].done())
+                break;
+            t = 1;
+        } else if (cur[1].done()) {
+            t = 0;
+        } else {
+            t = threads[0].ring[cur[0].slot].seq <
+                        threads[1].ring[cur[1].slot].seq
+                    ? 0
+                    : 1;
+        }
+        ThreadState &ts = threads[t];
+        std::uint32_t slot = cur[t].slot;
+        seekReady(ts, cur[t], slot + 1);
+        Entry &e = ts.ring[slot];
 
+        Cycle done = 0;
         switch (e.op.cls) {
           case OpClass::IntAlu:
-          case OpClass::Branch: {
+          case OpClass::Branch:
             if (alu == 0)
                 continue;
             --alu;
-            unsigned lat = e.op.cls == OpClass::Branch
-                               ? params.branchLatency
-                               : params.intAluLatency;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq, curCycle + lat);
-            --budget;
+            done = curCycle + (e.op.cls == OpClass::Branch
+                                   ? params.branchLatency
+                                   : params.intAluLatency);
             break;
-          }
-          case OpClass::IntMul: {
+          case OpClass::IntMul:
             if (mul == 0)
                 continue;
             --mul;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq,
-                               curCycle + params.intMulLatency);
-            --budget;
+            done = curCycle + params.intMulLatency;
             break;
-          }
-          case OpClass::FpAlu: {
+          case OpClass::FpAlu:
             if (fpu == 0)
                 continue;
             --fpu;
-            e.state = EntryState::Issued;
-            scheduleCompletion(cand.tid, cand.slot, e.seq,
-                               curCycle + params.fpuLatency);
-            --budget;
+            done = curCycle + params.fpuLatency;
             break;
-          }
           case OpClass::Load:
           case OpClass::Store: {
             if (lsu == 0)
                 continue;
             bool is_store = e.op.cls == OpClass::Store;
-            DataAccessResult res = mem.dataAccess(cand.tid, e.op.pc,
-                                                  e.op.effAddr, is_store,
-                                                  curCycle);
+            DataAccessResult res =
+                mem.dataAccess(t, e.op.pc, e.op.effAddr, is_store, curCycle,
+                               e.parkedEpoch);
+            if (res.kind == DataAccessKind::MshrFull)
+                e.parkedEpoch = res.mshrEpoch;
             if (res.kind == DataAccessKind::BankBusy ||
                 res.kind == DataAccessKind::MshrFull) {
-                // Replay next cycle; stays in the ready list.
+                // Replay next cycle; stays ready.
                 continue;
             }
             --lsu;
-            e.state = EntryState::Issued;
-            Cycle done = is_store ? curCycle + 1 : res.readyCycle;
+            done = is_store ? curCycle + 1 : res.readyCycle;
             if (done <= curCycle)
                 done = curCycle + 1;
-            scheduleCompletion(cand.tid, cand.slot, e.seq, done);
-            --budget;
             break;
           }
         }
-    }
-
-    // Rebuild ready lists: drop entries that issued.
-    for (ThreadId t = 0; t < numSmtThreads; ++t) {
-        ThreadState &ts = threads[t];
-        auto keep = ts.readyList.begin();
-        for (std::uint32_t slot : ts.readyList) {
-            Entry &e = ts.ring[slot];
-            if (e.valid && e.state == EntryState::Ready)
-                *keep++ = slot;
-        }
-        ts.readyList.erase(keep, ts.readyList.end());
+        e.state = EntryState::Issued;
+        ts.readyMask[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
+        scheduleCompletion(t, slot, e.seq, done);
+        --budget;
     }
 }
 
@@ -442,7 +480,7 @@ SmtCore::completeEntry(ThreadId tid, std::uint32_t slot)
             STRETCH_ASSERT(dep.waitCount > 0, "wait count underflow");
             if (--dep.waitCount == 0) {
                 dep.state = EntryState::Ready;
-                ts.readyList.push_back(c.slot);
+                markReady(ts, c.slot);
             }
         }
     }
@@ -497,7 +535,7 @@ SmtCore::doCommit()
             else if (e.op.cls == OpClass::Store)
                 ++tstats[t].stores;
             e.valid = false;
-            ts.head = (ts.head + 1) % params.robEntries;
+            ts.head = ringAdd(ts.head, 1, params.robEntries);
             --ts.count;
             --budget;
         }

@@ -169,6 +169,10 @@ class SmtCore
     /** ROB occupancy of a thread right now (usage register value). */
     unsigned robOccupancy(ThreadId tid) const { return robRes.usage(tid); }
 
+    /** In-flight ops of a thread whose operands are ready but that have
+     *  not issued yet (for inspection/tests). */
+    unsigned readyOps(ThreadId tid) const;
+
   private:
     /** In-flight instruction state. */
     enum class EntryState : std::uint8_t { Waiting, Ready, Issued, Done };
@@ -188,6 +192,9 @@ class SmtCore
         std::uint8_t waitCount = 0;
         bool valid = false;
         bool mispredicted = false; ///< resolves with a full flush penalty
+        /** Load/store parked on MshrFull: the epoch to retry with (see
+         *  MemoryHierarchy::dataAccess); 0 = not parked. */
+        std::uint64_t parkedEpoch = 0;
         std::vector<Consumer> consumers; ///< dependents (same thread)
     };
 
@@ -217,11 +224,15 @@ class SmtCore
         bool pendingValid = false;
         MicroOp pending; ///< op fetched from the stream but not yet consumed
 
-        std::deque<FetchedOp> fetchBuf;
+        // Fetch queue: a ring of fetchBufferEntries slots.
+        std::vector<FetchedOp> fetchBuf;
+        std::uint32_t fetchHead = 0;
+        std::uint32_t fetchCount = 0;
         Cycle fetchBlockedUntil = 0;
         bool waitingBranch = false; ///< mispredict in flight; fetch stopped
 
-        // Circular ROB storage (capacity = robEntries).
+        // Circular ROB storage (capacity = robEntries). Ring order from
+        // head is dispatch order, hence age order within the thread.
         std::vector<Entry> ring;
         std::uint32_t head = 0; ///< oldest entry slot
         std::uint32_t count = 0;
@@ -231,7 +242,8 @@ class SmtCore
         std::array<std::uint64_t, numArchRegs> regSeq{};
         std::array<std::uint32_t, numArchRegs> regSlot{};
 
-        std::vector<std::uint32_t> readyList; ///< slots ready to issue
+        /** Issue queue: bit s set = ring[s] is valid and Ready. */
+        std::vector<std::uint64_t> readyMask;
     };
 
     struct Event
@@ -259,10 +271,40 @@ class SmtCore
     void completeEntry(ThreadId tid, std::uint32_t slot);
     void flushThread(ThreadId tid);
 
+    /** a + b on a ring of @p size slots, for a, b < size. */
+    static std::uint32_t
+    ringAdd(std::uint32_t a, std::uint32_t b, std::uint32_t size)
+    {
+        std::uint32_t sum = a + b;
+        return sum >= size ? sum - size : sum;
+    }
+
     std::uint32_t slotIndex(const ThreadState &ts, std::uint32_t nth) const
     {
-        return (ts.head + nth) % params.robEntries;
+        return ringAdd(ts.head, nth, params.robEntries);
     }
+
+    static void
+    markReady(ThreadState &ts, std::uint32_t slot)
+    {
+        ts.readyMask[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+    }
+
+    /**
+     * Walks one thread's ready slots oldest first: [head, robEntries),
+     * then [0, head).
+     */
+    struct ReadyCursor
+    {
+        std::uint32_t slot; ///< current candidate; == end when exhausted
+        std::uint32_t end;  ///< end of the segment being scanned
+        bool wrapped;       ///< scanning [0, head)
+        bool done() const { return slot == end; }
+    };
+    ReadyCursor firstReady(const ThreadState &ts) const;
+    /** Move @p c to the first ready slot at or after @p from. */
+    void seekReady(const ThreadState &ts, ReadyCursor &c,
+                   std::uint32_t from) const;
 
     CoreParams params;
     MemoryHierarchy &mem;
@@ -283,15 +325,6 @@ class SmtCore
     // Completion-event ring, indexed by cycle modulo its size.
     static constexpr std::size_t evRingSize = 1024;
     std::array<std::vector<Event>, evRingSize> evRing;
-
-    /** Issue candidate collected from the per-thread ready lists. */
-    struct IssueCand
-    {
-        std::uint64_t seq;
-        ThreadId tid;
-        std::uint32_t slot;
-    };
-    std::vector<IssueCand> issueScratch;
 };
 
 } // namespace stretch

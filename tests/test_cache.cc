@@ -182,6 +182,29 @@ TEST(Cache, Reset)
     EXPECT_FALSE(c.probe(0x40));
 }
 
+TEST(Cache, EmptyCacheMissesBlockZero)
+{
+    // An empty way must never match a real block address, block 0
+    // included.
+    Cache c(tinyCache());
+    EXPECT_FALSE(c.probe(0x0));
+    EXPECT_FALSE(c.access(0, 0x0));
+    EXPECT_FALSE(c.access(1, 0x3f)); // block 0, last byte
+    EXPECT_EQ(c.hits(0) + c.hits(1), 0u);
+    EXPECT_EQ(c.misses(0), 1u);
+    EXPECT_EQ(c.misses(1), 1u);
+
+    bool dirty = true;
+    EXPECT_FALSE(c.insert(0, 0x0, false, dirty)); // fills an empty way
+    EXPECT_FALSE(dirty);
+    EXPECT_TRUE(c.probe(0x0));
+    EXPECT_TRUE(c.access(0, 0x0));
+
+    c.reset();
+    EXPECT_FALSE(c.probe(0x0));
+    EXPECT_FALSE(c.access(0, 0x0));
+}
+
 TEST(Cache, GeometryAccessors)
 {
     Cache c(CacheConfig{64 * 1024, 8, 2, {}});

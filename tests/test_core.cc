@@ -257,6 +257,64 @@ TEST(Core, FlushReplaysWithoutLosingInstructions)
     EXPECT_GT(m.core.stats(0).fetchStallFlush, 0u);
 }
 
+TEST(Core, FlushWithWrappedRingClearsReadyOpsAndReplaysEveryOp)
+{
+    // Single-wide commit makes runUntilCommitted stop on an exact count,
+    // so a flushed machine and its unflushed twin commit the same prefix
+    // of the same stream; a lost, duplicated or reordered op shows up in
+    // the committed load/store counts.
+    CoreParams params;
+    params.robEntries = 64;
+    params.lsqEntries = 32;
+    params.commitWidth = 1;
+    auto machine = [&] {
+        auto m = std::make_unique<Machine>(params);
+        m->core.configureRob(ShareMode::Partitioned, 64, 64);
+        m->core.configureLsq(ShareMode::Partitioned, 32, 32);
+        return m;
+    };
+    const SynthProfile &prof = workloads::byName("web_search");
+    auto flushed = machine();
+    TraceGenerator gen(prof, 11, 0);
+    flushed->core.attachThread(0, &gen);
+    flushed->core.runUntilCommitted(0, 1000);
+
+    // Step until the in-flight window wraps past the ring's end (head is
+    // the committed count modulo the ring size: nothing was flushed yet)
+    // with ops waiting in the issue queue.
+    auto wrapped = [&] {
+        const SmtCore &c = flushed->core;
+        std::uint64_t head = c.stats(0).committedOps % params.robEntries;
+        return head != 0 && head + c.robOccupancy(0) > params.robEntries &&
+               c.readyOps(0) > 0;
+    };
+    for (int i = 0; i < 100000 && !wrapped(); ++i)
+        flushed->core.cycle();
+    ASSERT_TRUE(wrapped());
+
+    std::uint64_t at_flush = flushed->core.stats(0).committedOps;
+    flushed->core.flushAllThreads();
+    EXPECT_EQ(flushed->core.robOccupancy(0), 0u);
+    EXPECT_EQ(flushed->core.readyOps(0), 0u);
+
+    const std::uint64_t total = at_flush + 5000;
+    flushed->core.runUntilCommitted(0, total - at_flush);
+
+    auto twin = machine();
+    TraceGenerator twin_gen(prof, 11, 0);
+    twin->core.attachThread(0, &twin_gen);
+    twin->core.runUntilCommitted(0, total);
+
+    const ThreadStats &a = flushed->core.stats(0);
+    const ThreadStats &b = twin->core.stats(0);
+    EXPECT_EQ(a.committedOps, total);
+    EXPECT_EQ(b.committedOps, total);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_GT(a.loads, 0u);
+    EXPECT_GT(a.stores, 0u);
+}
+
 TEST(Core, FlushPreservesDeterministicCommitCount)
 {
     // A run with a mid-point flush must commit the same instruction

@@ -248,16 +248,88 @@ TEST(Hierarchy, LlcWayPartitionIsolation)
 
 TEST(Hierarchy, StatsAndClear)
 {
-    MemoryHierarchy mem(fullMachine());
-    mem.tick(0);
-    mem.dataAccess(0, 0x1, 0x40000, false, 0);
-    EXPECT_EQ(mem.l1dMisses(0), 1u);
-    EXPECT_EQ(mem.llcMisses(0), 1u);
+    HierarchyConfig cfg = fullMachine();
+    cfg.prefetchEnable = true;
+    MemoryHierarchy mem(cfg);
+    // Train a stride stream until it prefetches.
+    Cycle t = 0;
+    for (int i = 0; i < 4; ++i, t += 300) {
+        mem.tick(t);
+        mem.dataAccess(0, 0x77, 0x40000 + i * 64, false, t);
+    }
+    EXPECT_GT(mem.l1dMisses(0), 0u);
+    EXPECT_GT(mem.llcMisses(0), 0u);
+    EXPECT_GT(mem.prefetchesIssued(), 0u);
+    mem.tick(t);
+    mem.dataAccess(0, 0x1, 0x900000, false, t); // one demand miss in flight
     mem.clearStats();
     EXPECT_EQ(mem.l1dMisses(0), 0u);
     EXPECT_EQ(mem.llcMisses(0), 0u);
-    // In-flight state survives a stats clear.
+    EXPECT_EQ(mem.prefetchesIssued(), 0u);
+    // In-flight and training state survive a stats clear: the trained
+    // stream prefetches again on its very next access.
     EXPECT_EQ(mem.outstandingDemandMisses(0), 1u);
+    mem.tick(t + 1);
+    mem.dataAccess(0, 0x77, 0x40000 + 4 * 64, false, t + 1);
+    EXPECT_GT(mem.prefetchesIssued(), 0u);
+}
+
+TEST(Hierarchy, ParkedRetryMatchesFullLookup)
+{
+    // Two identical hierarchies see the same accesses, except that the
+    // parked access passes its MshrFull epoch back on `fast` only. The
+    // retries must agree in outcome and counters through a BankBusy
+    // cycle, an allocation by the other thread, and the fill that frees
+    // an MSHR and unparks the access.
+    HierarchyConfig cfg = fullMachine();
+    cfg.llcWayPartition = {8, 8};
+    cfg.mshrQuota = {2, 2};
+    MemoryHierarchy fast(cfg), plain(cfg);
+    const Addr a = 0x100000, b = 0x200000, parked = 0x300000;
+    ASSERT_EQ(fast.config().l1d.banks, 2u);
+    std::uint64_t epoch = 0;
+    unsigned short_circuits = 0, bank_busy = 0;
+    bool unparked = false;
+    for (Cycle t = 0; t < 400 && !unparked; ++t) {
+        fast.tick(t);
+        plain.tick(t);
+        auto both = [&](ThreadId tid, Addr addr) {
+            DataAccessResult f = fast.dataAccess(tid, 0x9, addr, false, t);
+            DataAccessResult p = plain.dataAccess(tid, 0x9, addr, false, t);
+            EXPECT_EQ(f.kind, p.kind) << "cycle " << t;
+            EXPECT_EQ(f.readyCycle, p.readyCycle) << "cycle " << t;
+        };
+        if (t == 0)
+            both(0, a); // thread 0's quota: a and b
+        if (t == 1)
+            both(0, b);
+        if (t == 20)
+            both(0, a); // merge into a: takes parked's bank this cycle
+        if (t == 40)
+            both(1, 0x10400040); // thread 1 allocates: a new epoch
+        if (t < 2)
+            continue;
+
+        DataAccessResult f =
+            fast.dataAccess(0, 0x9, parked, false, t, epoch);
+        DataAccessResult p = plain.dataAccess(0, 0x9, parked, false, t);
+        ASSERT_EQ(f.kind, p.kind) << "cycle " << t;
+        EXPECT_EQ(f.readyCycle, p.readyCycle) << "cycle " << t;
+        if (f.kind == DataAccessKind::MshrFull) {
+            short_circuits += f.mshrEpoch == epoch;
+            epoch = f.mshrEpoch;
+        }
+        bank_busy += f.kind == DataAccessKind::BankBusy;
+        unparked = f.kind == DataAccessKind::Miss;
+        EXPECT_EQ(fast.mshrFullStalls(0), plain.mshrFullStalls(0));
+        EXPECT_EQ(fast.l1dMisses(0), plain.l1dMisses(0));
+        EXPECT_EQ(fast.l1dHits(0), plain.l1dHits(0));
+    }
+    EXPECT_TRUE(unparked);
+    EXPECT_EQ(bank_busy, 1u);
+    EXPECT_GT(short_circuits, 100u);
+    EXPECT_GT(fast.mshrFullStalls(0), short_circuits);
+    EXPECT_EQ(fast.l1dMisses(1), plain.l1dMisses(1));
 }
 
 TEST(Hierarchy, Reset)
