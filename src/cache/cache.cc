@@ -46,37 +46,6 @@ Cache::Cache(const CacheConfig &cfg) : cfg(cfg)
     state.resize(state.capacity(), 0);
 }
 
-std::int64_t
-Cache::findWay(Addr blk) const
-{
-    std::uint64_t base = (blk & (sets - 1)) * cfg.assoc;
-    const Addr *row = tags() + base;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (row[w] == blk)
-            return static_cast<std::int64_t>(base + w);
-    }
-    return -1;
-}
-
-bool
-Cache::access(ThreadId tid, Addr addr)
-{
-    std::int64_t way = findWay(blockAddr(addr));
-    if (way >= 0) {
-        lastUse()[way] = ++useClock;
-        ++hitCount[tid];
-        return true;
-    }
-    ++missCount[tid];
-    return false;
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return findWay(blockAddr(addr)) >= 0;
-}
-
 bool
 Cache::insert(ThreadId tid, Addr addr, bool dirty_fill, bool &evicted_dirty)
 {

@@ -132,6 +132,38 @@ class Cache
     std::uint64_t missCount[numSmtThreads] = {0, 0};
 };
 
+// Inline: every fetch block and every data access looks up a cache.
+inline std::int64_t
+Cache::findWay(Addr blk) const
+{
+    std::uint64_t base = (blk & (sets - 1)) * cfg.assoc;
+    const Addr *row = tags() + base;
+    for (unsigned w = 0; w < cfg.assoc; ++w) {
+        if (row[w] == blk)
+            return static_cast<std::int64_t>(base + w);
+    }
+    return -1;
+}
+
+inline bool
+Cache::access(ThreadId tid, Addr addr)
+{
+    std::int64_t way = findWay(blockAddr(addr));
+    if (way >= 0) {
+        lastUse()[way] = ++useClock;
+        ++hitCount[tid];
+        return true;
+    }
+    ++missCount[tid];
+    return false;
+}
+
+inline bool
+Cache::probe(Addr addr) const
+{
+    return findWay(blockAddr(addr)) >= 0;
+}
+
 } // namespace stretch
 
 #endif // STRETCH_CACHE_CACHE_H

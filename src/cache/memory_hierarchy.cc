@@ -56,16 +56,8 @@ MemoryHierarchy::l1dFor(ThreadId tid)
 }
 
 void
-MemoryHierarchy::tick(Cycle now)
+MemoryHierarchy::completeFills(Cycle now)
 {
-    if (bankCycle != now) {
-        bankCycle = now;
-        bankBusy = {0, 0};
-    }
-    if (now < nextFill)
-        return;
-    // Complete due fills in slot order: install into the L1-D and
-    // release the MSHR.
     nextFill = ~Cycle(0);
     for (unsigned inst = 0; inst < mshrFiles.size(); ++inst) {
         MshrFile &file = mshrFiles[inst];
@@ -172,39 +164,12 @@ MemoryHierarchy::tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now)
 }
 
 DataAccessResult
-MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
-                            Cycle now, std::uint64_t parked_epoch)
+MemoryHierarchy::lookup(ThreadId tid, Addr pc, Addr addr, bool is_store,
+                        Cycle now, unsigned inst, std::uint8_t mask)
 {
     DataAccessResult res;
-    unsigned inst = l1dInstance(tid);
     Cache &cache = l1d[inst];
     MshrFile &file = mshrFiles[inst];
-
-    // Bank port arbitration: one access per bank per cycle.
-    STRETCH_ASSERT(bankCycle == now,
-                   "tick() must run before accesses each cycle");
-    unsigned bank = cache.bank(addr);
-    std::uint8_t mask = static_cast<std::uint8_t>(1u << bank);
-    if (bankBusy[inst] & mask) {
-        res.kind = DataAccessKind::BankBusy;
-        res.readyCycle = now + 1;
-        return res;
-    }
-
-    auto mshrFull = [&] {
-        ++mshrFullCount[tid];
-        res.kind = DataAccessKind::MshrFull;
-        res.readyCycle = now + 1;
-        res.mshrEpoch = file.epoch;
-        return res;
-    };
-
-    // A parked retry with no MSHR allocation or fill since: still an L1-D
-    // miss with no MSHR to merge into or claim.
-    if (parked_epoch == file.epoch) {
-        cache.countMiss(tid);
-        return mshrFull();
-    }
 
     if (cache.access(tid, addr)) {
         bankBusy[inst] |= mask;
@@ -235,10 +200,10 @@ MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
 
     // Need a fresh MSHR, subject to the per-thread quota.
     if (file.inUse[tid] >= cfg.mshrQuota[tid])
-        return mshrFull();
+        return mshrFull(tid, file, now);
     Mshr *slot = allocateMshr(file, tid, addr, !is_store, now);
     if (!slot)
-        return mshrFull();
+        return mshrFull(tid, file, now);
 
     bankBusy[inst] |= mask;
     ++l1dMissCount[tid];
@@ -258,12 +223,6 @@ MemoryHierarchy::prefillLlc(ThreadId tid, const std::vector<Addr> &blocks)
     bool evicted_dirty = false;
     for (Addr a : blocks)
         llc.insert(tid, a, false, evicted_dirty);
-}
-
-unsigned
-MemoryHierarchy::outstandingDemandMisses(ThreadId tid) const
-{
-    return demandOut[tid];
 }
 
 void

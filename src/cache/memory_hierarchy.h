@@ -20,6 +20,7 @@
 
 #include "cache/cache.h"
 #include "cache/prefetcher.h"
+#include "util/log.h"
 #include "util/types.h"
 
 namespace stretch
@@ -93,7 +94,16 @@ class MemoryHierarchy
      * free MSHRs) and reset per-cycle port arbitration. Call once per cycle
      * before any accesses for that cycle.
      */
-    void tick(Cycle now);
+    void
+    tick(Cycle now)
+    {
+        if (bankCycle != now) {
+            bankCycle = now;
+            bankBusy = {0, 0};
+        }
+        if (now >= nextFill)
+            completeFills(now);
+    }
 
     /**
      * Instruction fetch of one cache block.
@@ -131,7 +141,10 @@ class MemoryHierarchy
 
     /** Outstanding demand loads to *memory* (LLC misses), the quantity
      *  Figure 7 calls concurrent memory requests in flight. */
-    unsigned outstandingDemandMisses(ThreadId tid) const;
+    unsigned outstandingDemandMisses(ThreadId tid) const
+    {
+        return demandOut[tid];
+    }
 
     /** Drop all cached state and in-flight requests. */
     void reset();
@@ -186,8 +199,25 @@ class MemoryHierarchy
         return cfg.sharedL1d ? 0 : tid;
     }
 
+    /** Install every fill due by @p now into its L1-D, in slot order,
+     *  and release its MSHR. */
+    void completeFills(Cycle now);
+
     /** LLC lookup + fill; returns total latency beyond L1. */
     unsigned llcAccess(ThreadId tid, Addr addr);
+
+    /** dataAccess past the bank check: L1-D lookup, then MSHR merge or
+     *  allocation. @p bank_mask is the access's bank bit. */
+    DataAccessResult lookup(ThreadId tid, Addr pc, Addr addr, bool is_store,
+                            Cycle now, unsigned inst,
+                            std::uint8_t bank_mask);
+
+    DataAccessResult
+    mshrFull(ThreadId tid, const MshrFile &file, Cycle now)
+    {
+        ++mshrFullCount[tid];
+        return {DataAccessKind::MshrFull, now + 1, file.epoch};
+    }
 
     Mshr *findMshr(MshrFile &file, Addr block);
     /**
@@ -223,6 +253,29 @@ class MemoryHierarchy
     std::array<unsigned, numSmtThreads> demandOut{0, 0};
     std::vector<Addr> prefetchScratch;
 };
+
+// Inline: the core retries parked accesses every cycle, and most retries
+// end at the bank check or the epoch match.
+inline DataAccessResult
+MemoryHierarchy::dataAccess(ThreadId tid, Addr pc, Addr addr, bool is_store,
+                            Cycle now, std::uint64_t parked_epoch)
+{
+    STRETCH_ASSERT(bankCycle == now,
+                   "tick() must run before accesses each cycle");
+    unsigned inst = l1dInstance(tid);
+    // Bank port arbitration: one access per bank per cycle.
+    auto mask = static_cast<std::uint8_t>(1u << l1d[inst].bank(addr));
+    if (bankBusy[inst] & mask)
+        return {DataAccessKind::BankBusy, now + 1, 0};
+    // A parked retry with no MSHR allocation or fill since: still an L1-D
+    // miss with no MSHR to merge into or claim.
+    const MshrFile &file = mshrFiles[inst];
+    if (parked_epoch == file.epoch) {
+        l1d[inst].countMiss(tid);
+        return mshrFull(tid, file, now);
+    }
+    return lookup(tid, pc, addr, is_store, now, inst, mask);
+}
 
 } // namespace stretch
 

@@ -330,48 +330,6 @@ SmtCore::scheduleCompletion(ThreadId tid, std::uint32_t slot,
     evRing[when % evRingSize].push_back({tid, slot, seq});
 }
 
-namespace
-{
-
-/** First set bit of @p mask in [from, to), or @p to when there is none. */
-std::uint32_t
-findSet(const std::vector<std::uint64_t> &mask, std::uint32_t from,
-        std::uint32_t to)
-{
-    while (from < to) {
-        std::uint64_t bits = mask[from >> 6] >> (from & 63);
-        if (bits) {
-            std::uint32_t s =
-                from + static_cast<std::uint32_t>(__builtin_ctzll(bits));
-            return s < to ? s : to;
-        }
-        from = (from | 63) + 1;
-    }
-    return to;
-}
-
-} // namespace
-
-SmtCore::ReadyCursor
-SmtCore::firstReady(const ThreadState &ts) const
-{
-    ReadyCursor c{0, params.robEntries, false};
-    seekReady(ts, c, ts.head);
-    return c;
-}
-
-void
-SmtCore::seekReady(const ThreadState &ts, ReadyCursor &c,
-                   std::uint32_t from) const
-{
-    c.slot = findSet(ts.readyMask, from, c.end);
-    if (c.slot == c.end && !c.wrapped) {
-        c.wrapped = true;
-        c.end = ts.head;
-        c.slot = findSet(ts.readyMask, 0, c.end);
-    }
-}
-
 unsigned
 SmtCore::readyOps(ThreadId tid) const
 {
@@ -392,8 +350,8 @@ SmtCore::doIssue()
 
     // Oldest first across both threads: each thread's ready mask walks in
     // age order, and the two walks merge by the global sequence number.
-    std::array<ReadyCursor, numSmtThreads> cur{firstReady(threads[0]),
-                                               firstReady(threads[1])};
+    std::array<ReadyCursor, numSmtThreads> cur{ReadyCursor(threads[0]),
+                                               ReadyCursor(threads[1])};
     while (budget > 0) {
         ThreadId t;
         if (cur[0].done()) {
@@ -403,14 +361,14 @@ SmtCore::doIssue()
         } else if (cur[1].done()) {
             t = 0;
         } else {
-            t = threads[0].ring[cur[0].slot].seq <
-                        threads[1].ring[cur[1].slot].seq
+            t = threads[0].ring[cur[0].slot()].seq <
+                        threads[1].ring[cur[1].slot()].seq
                     ? 0
                     : 1;
         }
         ThreadState &ts = threads[t];
-        std::uint32_t slot = cur[t].slot;
-        seekReady(ts, cur[t], slot + 1);
+        std::uint32_t slot = cur[t].slot();
+        cur[t].next();
         Entry &e = ts.ring[slot];
 
         Cycle done = 0;

@@ -291,20 +291,61 @@ class SmtCore
     }
 
     /**
-     * Walks one thread's ready slots oldest first: [head, robEntries),
-     * then [0, head).
+     * Walks one thread's ready slots oldest first. It visits the ready
+     * mask's words from head's word up to the last word, then wraps from
+     * word 0 back to head's word: bits at or above head on the first
+     * visit of that word, bits below it on the second.
      */
-    struct ReadyCursor
+    class ReadyCursor
     {
-        std::uint32_t slot; ///< current candidate; == end when exhausted
-        std::uint32_t end;  ///< end of the segment being scanned
-        bool wrapped;       ///< scanning [0, head)
-        bool done() const { return slot == end; }
+      public:
+        explicit ReadyCursor(const ThreadState &ts)
+            : mask(ts.readyMask.data()),
+              words(static_cast<std::uint32_t>(ts.readyMask.size())),
+              word(ts.head >> 6), visitsLeft(words), headBit(ts.head & 63),
+              bits(mask[word] & (~std::uint64_t(0) << headBit))
+        {
+            if (!bits)
+                refill();
+        }
+
+        bool done() const { return bits == 0; }
+
+        std::uint32_t
+        slot() const
+        {
+            return word * 64 +
+                   static_cast<std::uint32_t>(__builtin_ctzll(bits));
+        }
+
+        void
+        next()
+        {
+            bits &= bits - 1;
+            if (!bits)
+                refill();
+        }
+
+      private:
+        void
+        refill()
+        {
+            while (!bits && visitsLeft > 0) {
+                --visitsLeft;
+                word = word + 1 == words ? 0 : word + 1;
+                bits = mask[word];
+                if (visitsLeft == 0)
+                    bits &= (std::uint64_t(1) << headBit) - 1;
+            }
+        }
+
+        const std::uint64_t *mask;
+        std::uint32_t words;
+        std::uint32_t word;
+        std::uint32_t visitsLeft;
+        std::uint32_t headBit;
+        std::uint64_t bits; ///< unvisited ready bits of the current word
     };
-    ReadyCursor firstReady(const ThreadState &ts) const;
-    /** Move @p c to the first ready slot at or after @p from. */
-    void seekReady(const ThreadState &ts, ReadyCursor &c,
-                   std::uint32_t from) const;
 
     CoreParams params;
     MemoryHierarchy &mem;
