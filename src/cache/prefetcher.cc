@@ -1,10 +1,12 @@
 #include "cache/prefetcher.h"
 
+#include <algorithm>
+
 namespace stretch
 {
 
 StridePrefetcher::StridePrefetcher(unsigned streams, unsigned degree)
-    : streams(streams), degree(degree), table(streams)
+    : streams(streams), degree(degree), table(streams), pcs(streams, 0)
 {
 }
 
@@ -14,28 +16,32 @@ StridePrefetcher::observe(ThreadId tid, Addr pc, Addr addr,
 {
     // Fully-associative lookup over the small table.
     Entry *entry = nullptr;
-    Entry *victim = nullptr;
-    for (auto &e : table) {
-        if (e.valid && e.pc == pc && e.tid == tid) {
-            entry = &e;
+    for (unsigned i = 0; i < streams; ++i) {
+        if (pcs[i] == pc && table[i].valid && table[i].tid == tid) {
+            entry = &table[i];
             break;
-        }
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (!victim || (victim->valid && e.lastUse < victim->lastUse)) {
-            victim = &e;
         }
     }
 
     if (!entry) {
-        // Allocate a fresh stream.
-        *victim = Entry{};
-        victim->valid = true;
-        victim->pc = pc;
-        victim->tid = tid;
-        victim->lastAddr = addr;
-        victim->lastUse = ++useClock;
+        // Allocate a fresh stream in the first free entry, else in the
+        // least recently used one.
+        unsigned victim = 0;
+        for (unsigned i = 0; i < streams; ++i) {
+            if (!table[i].valid) {
+                victim = i;
+                break;
+            }
+            if (table[i].lastUse < table[victim].lastUse)
+                victim = i;
+        }
+        Entry &v = table[victim];
+        v = Entry{};
+        v.valid = true;
+        v.tid = tid;
+        v.lastAddr = addr;
+        v.lastUse = ++useClock;
+        pcs[victim] = pc;
         return;
     }
 
@@ -69,6 +75,7 @@ StridePrefetcher::reset()
 {
     for (auto &e : table)
         e = Entry{};
+    std::fill(pcs.begin(), pcs.end(), 0);
     useClock = 0;
     issuedCount = 0;
 }
