@@ -167,6 +167,13 @@ class MemoryHierarchy
         return mshrFullCount[tid];
     }
     std::uint64_t prefetchesIssued() const { return prefetcher.issued(); }
+    /** L1-D tag array a thread uses, with its own hit/miss counters
+     *  (retries included; for inspection/tests). */
+    const Cache &
+    l1dCache(ThreadId tid) const
+    {
+        return l1d[l1dInstance(tid)];
+    }
     /// @}
 
     /** Configuration in force. */

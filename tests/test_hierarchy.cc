@@ -324,6 +324,8 @@ TEST(Hierarchy, ParkedRetryMatchesFullLookup)
         EXPECT_EQ(fast.mshrFullStalls(0), plain.mshrFullStalls(0));
         EXPECT_EQ(fast.l1dMisses(0), plain.l1dMisses(0));
         EXPECT_EQ(fast.l1dHits(0), plain.l1dHits(0));
+        EXPECT_EQ(fast.l1dCache(0).misses(0), plain.l1dCache(0).misses(0));
+        EXPECT_EQ(fast.l1dCache(0).hits(0), plain.l1dCache(0).hits(0));
     }
     EXPECT_TRUE(unparked);
     EXPECT_EQ(bank_busy, 1u);

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Compare engine throughput against the committed baseline snapshot.
+"""Compare tracked bench throughput against the committed baseline snapshot.
 
 Reads two ``bench_to_json.py`` outputs and compares ``items_per_second``
-(simulated requests per second) for the end-to-end engine benches —
-names starting with ``BM_Engine``, ``BM_Dispatch``, or ``BM_Cluster`` —
-in the embedded
-``bench_perf_micro`` google-benchmark JSON. Exits 1 when any bench fell
+for the tracked benches in the embedded ``bench_perf_micro``
+google-benchmark JSON: the event-engine benches (``BM_Engine``,
+``BM_Dispatch``, ``BM_Cluster``; simulated requests per second) and the
+core-model benches (``BM_Core``: simulated cycles per second;
+``BM_OpPoint``: operating points measured per second). Exits 1 when any bench fell
 below ``(1 - threshold)`` times its baseline, 0 otherwise. Benches at or
 above ``(1 + threshold)`` times baseline are flagged IMPROVED — the cue
 to refresh BENCH_baseline.json so the new level becomes the floor.
@@ -34,7 +35,8 @@ import json
 import sys
 from pathlib import Path
 
-TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster")
+TRACKED_PREFIXES = ("BM_Engine", "BM_Dispatch", "BM_Cluster", "BM_Core",
+                    "BM_OpPoint")
 
 
 def engine_throughputs(path: Path):
@@ -56,7 +58,8 @@ def engine_throughputs(path: Path):
         if name.startswith(TRACKED_PREFIXES) and "items_per_second" in b:
             rates[name] = float(b["items_per_second"])
     if not rates:
-        return None, f"{path}: no BM_Engine*/BM_Dispatch*/BM_Cluster* entries"
+        prefixes = "/".join(p + "*" for p in TRACKED_PREFIXES)
+        return None, f"{path}: no {prefixes} entries"
     return rates, None
 
 
@@ -161,7 +164,7 @@ def main():
     regressions = []
     improvements = []
     for r in rows:
-        print(f"{r['verdict']:>9}  {r['name']}: {r['current']:.3e} req/s "
+        print(f"{r['verdict']:>9}  {r['name']}: {r['current']:.3e} items/s "
               f"(baseline {r['baseline']:.3e}, floor {r['floor']:.3e})")
         if r["verdict"] == "REGRESSED":
             regressions.append(r["name"])

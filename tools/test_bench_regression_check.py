@@ -126,6 +126,26 @@ class ThroughputExtraction(unittest.TestCase):
             self.assertEqual(set(rates), {"BM_EngineOneClassPoisson",
                                           "BM_DispatchEightCoreFleet"})
 
+    def test_core_model_benches_are_tracked(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "r.json"
+            path.write_text(json.dumps(self._doc([
+                {"name": "BM_CoreCycleColocated",
+                 "items_per_second": 2.5e6},
+                {"name": "BM_OpPointMeasure", "items_per_second": 25.0},
+                {"name": "BM_CacheAccess", "items_per_second": 4e7},
+                {"name": "BM_GeneratorNext", "items_per_second": 3e7},
+            ])))
+            rates, note = engine_throughputs(path)
+            self.assertIsNone(note)
+            self.assertEqual(rates, {"BM_CoreCycleColocated": 2.5e6,
+                                     "BM_OpPointMeasure": 25.0})
+            rows, _ = compare(rates, {"BM_CoreCycleColocated": 2.0e6,
+                                      "BM_OpPointMeasure": 25.0}, 0.15)
+            verdicts = {r["name"]: r["verdict"] for r in rows}
+            self.assertEqual(verdicts, {"BM_CoreCycleColocated": "REGRESSED",
+                                        "BM_OpPointMeasure": "ok"})
+
     def test_skipped_run_is_a_note(self):
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "r.json"
