@@ -49,12 +49,6 @@ MemoryHierarchy::l1iFor(ThreadId tid)
     return cfg.sharedL1i ? l1i[0] : l1i[tid];
 }
 
-Cache &
-MemoryHierarchy::l1dFor(ThreadId tid)
-{
-    return cfg.sharedL1d ? l1d[0] : l1d[tid];
-}
-
 void
 MemoryHierarchy::completeFills(Cycle now)
 {
@@ -149,8 +143,9 @@ MemoryHierarchy::tryPrefetch(ThreadId tid, Addr pc, Addr addr, Cycle now)
         return;
     prefetchScratch.clear();
     prefetcher.observe(tid, pc, addr, prefetchScratch);
-    MshrFile &file = mshrFiles[l1dInstance(tid)];
-    Cache &cache = l1dFor(tid);
+    unsigned inst = l1dInstance(tid);
+    MshrFile &file = mshrFiles[inst];
+    const Cache &cache = l1d[inst];
     // Prefetches may not exhaust the thread's MSHR quota: two entries stay
     // reserved for demand misses so streams cannot starve random accesses.
     unsigned quota = cfg.mshrQuota[tid] > 2 ? cfg.mshrQuota[tid] - 2 : 0;

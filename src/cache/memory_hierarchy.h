@@ -200,7 +200,6 @@ class MemoryHierarchy
     };
 
     Cache &l1iFor(ThreadId tid);
-    Cache &l1dFor(ThreadId tid);
     unsigned l1dInstance(ThreadId tid) const
     {
         return cfg.sharedL1d ? 0 : tid;

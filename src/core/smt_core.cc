@@ -298,10 +298,8 @@ SmtCore::dispatchThread(ThreadId tid, unsigned &budget)
             ts.regSlot[e.op.dest] = slot;
         }
 
-        if (e.waitCount == 0) {
-            e.state = EntryState::Ready;
+        if (e.waitCount == 0)
             markReady(ts, slot);
-        }
 
         ts.fetchHead = ringAdd(ts.fetchHead, 1, params.fetchBufferEntries);
         --ts.fetchCount;
@@ -436,10 +434,8 @@ SmtCore::completeEntry(ThreadId tid, std::uint32_t slot)
         if (dep.valid && dep.seq == c.seq &&
             dep.state == EntryState::Waiting) {
             STRETCH_ASSERT(dep.waitCount > 0, "wait count underflow");
-            if (--dep.waitCount == 0) {
-                dep.state = EntryState::Ready;
+            if (--dep.waitCount == 0)
                 markReady(ts, c.slot);
-            }
         }
     }
     e.consumers.clear();

@@ -174,8 +174,12 @@ class SmtCore
     unsigned readyOps(ThreadId tid) const;
 
   private:
-    /** In-flight instruction state. */
-    enum class EntryState : std::uint8_t { Waiting, Ready, Issued, Done };
+    /**
+     * In-flight instruction state. A Waiting entry has not issued yet;
+     * its bit in the thread's readyMask says whether its operands are
+     * ready.
+     */
+    enum class EntryState : std::uint8_t { Waiting, Issued, Done };
 
     /** Consumer record; the seq guards against slot reuse after squash. */
     struct Consumer
@@ -242,7 +246,8 @@ class SmtCore
         std::array<std::uint64_t, numArchRegs> regSeq{};
         std::array<std::uint32_t, numArchRegs> regSlot{};
 
-        /** Issue queue: bit s set = ring[s] is valid and Ready. */
+        /** Issue queue: bit s set = ring[s] is Waiting with its operands
+         *  ready. */
         std::vector<std::uint64_t> readyMask;
     };
 
