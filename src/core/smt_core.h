@@ -296,10 +296,12 @@ class SmtCore
     }
 
     /**
-     * Walks one thread's ready slots oldest first. It visits the ready
-     * mask's words from head's word up to the last word, then wraps from
-     * word 0 back to head's word: bits at or above head on the first
-     * visit of that word, bits below it on the second.
+     * Walks one thread's ready slots oldest first. In-flight entries
+     * occupy ring slots [head, head + count), wrapping at the ring's end,
+     * so the walk visits the ready mask's words from head's word on, in
+     * ring order, up to the word holding the youngest entry. When the
+     * window wraps back into head's word, that word's second visit takes
+     * only the bits below head.
      */
     class ReadyCursor
     {
@@ -307,9 +309,16 @@ class SmtCore
         explicit ReadyCursor(const ThreadState &ts)
             : mask(ts.readyMask.data()),
               words(static_cast<std::uint32_t>(ts.readyMask.size())),
-              word(ts.head >> 6), visitsLeft(words), headBit(ts.head & 63),
-              bits(mask[word] & (~std::uint64_t(0) << headBit))
+              word(ts.head >> 6), headWord(word), headBit(ts.head & 63)
         {
+            if (ts.count == 0)
+                return;
+            auto size = static_cast<std::uint32_t>(ts.ring.size());
+            std::uint32_t youngest = ts.head + ts.count - 1;
+            visitsLeft = youngest < size
+                             ? (youngest >> 6) - headWord
+                             : words - headWord + ((youngest - size) >> 6);
+            bits = mask[word] & (~std::uint64_t(0) << headBit);
             if (!bits)
                 refill();
         }
@@ -339,7 +348,7 @@ class SmtCore
                 --visitsLeft;
                 word = word + 1 == words ? 0 : word + 1;
                 bits = mask[word];
-                if (visitsLeft == 0)
+                if (word == headWord)
                     bits &= (std::uint64_t(1) << headBit) - 1;
             }
         }
@@ -347,9 +356,10 @@ class SmtCore
         const std::uint64_t *mask;
         std::uint32_t words;
         std::uint32_t word;
-        std::uint32_t visitsLeft;
+        std::uint32_t headWord;
         std::uint32_t headBit;
-        std::uint64_t bits; ///< unvisited ready bits of the current word
+        std::uint32_t visitsLeft = 0;
+        std::uint64_t bits = 0; ///< unvisited ready bits of the current word
     };
 
     CoreParams params;
