@@ -315,6 +315,46 @@ TEST(Core, FlushWithWrappedRingClearsReadyOpsAndReplaysEveryOp)
     EXPECT_GT(a.stores, 0u);
 }
 
+TEST(Core, IssueTriesEachReadyOpAtMostOncePerCycle)
+{
+    // Nine ops in ten are independent loads that miss, with two MSHRs:
+    // the window fills with ready loads parked on MshrFull, and with a
+    // one-word ready mask the oldest-first walk wraps back into head's
+    // word every cycle. Every L1-D lookup (a parked retry counts one) is
+    // one try of one in-flight op, so a cycle never counts more tries
+    // than the window holds.
+    SynthProfile p = aluOnlyProfile();
+    p.name = "independent_misses";
+    p.loadFrac = 0.9;
+    p.hotFrac = 0.0;
+    p.warmFrac = 0.0;
+    p.coldBytes = 256ull << 20;
+    CoreParams params;
+    params.robEntries = 64;
+    params.lsqEntries = 64;
+    HierarchyConfig hcfg = Machine::fullMachineHierarchy();
+    hcfg.mshrQuota = {2, 2};
+    hcfg.prefetchEnable = false;
+    Machine m(params, hcfg);
+    m.core.configureRob(ShareMode::Partitioned, 64, 64);
+    m.core.configureLsq(ShareMode::Partitioned, 64, 64);
+    TraceGenerator gen(p, 3, 0);
+    m.core.attachThread(0, &gen);
+
+    const Cache &l1d = m.mem.l1dCache(0);
+    std::uint64_t crowded_cycles = 0; // over half the window parked
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t before = l1d.hits(0) + l1d.misses(0);
+        std::uint64_t stalls = m.mem.mshrFullStalls(0);
+        m.core.cycle();
+        std::uint64_t tries = l1d.hits(0) + l1d.misses(0) - before;
+        ASSERT_LE(tries, m.core.robOccupancy(0)) << "cycle " << i;
+        crowded_cycles += m.mem.mshrFullStalls(0) - stalls > 32;
+    }
+    EXPECT_GT(m.mem.mshrFullStalls(0), 100000u);
+    EXPECT_GT(crowded_cycles, 1000u);
+}
+
 TEST(Core, FlushPreservesDeterministicCommitCount)
 {
     // A run with a mid-point flush must commit the same instruction
