@@ -28,7 +28,7 @@
 #include "queueing/request_sim.h"
 #include "scenario/presets.h"
 #include "sim/fleet.h"
-#include "sim/op_point_cache.h"
+#include "sim/runner.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/profiles.h"
@@ -98,23 +98,22 @@ BM_CoreCycleColocated(benchmark::State &state)
 }
 BENCHMARK(BM_CoreCycleColocated);
 
-/** One operating-point measurement on the miss path: the presets' core
- *  RunConfig through a freshly cleared OperatingPointCache, so every
- *  iteration is a full cold `sim::run` (machine build, LLC prefill,
- *  warmup and measurement of every sample) at full sampling scale.
- *  items_per_second is operating points measured per second. */
+/** One cold operating-point measurement: `sim::run` of the presets'
+ *  core RunConfig (machine build, LLC prefill, warmup and measurement
+ *  of every sample) at full sampling scale, bypassing the process-wide
+ *  OperatingPointCache. The quick factor is pinned to 1.0 only for the
+ *  duration of the bench. items_per_second is operating points
+ *  measured per second. */
 void
 BM_OpPointMeasure(benchmark::State &state)
 {
+    const double saved_factor = sim::quickFactor();
     sim::setQuickFactor(1.0);
     const sim::RunConfig cfg =
         scenario::preset("fig13-sw-scheduling").cores.front();
-    sim::OperatingPointCache &cache = sim::OperatingPointCache::instance();
-    for (auto _ : state) {
-        cache.clear();
-        benchmark::DoNotOptimize(cache.measure(cfg).totalCycles);
-    }
-    cache.clear();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::run(cfg).totalCycles);
+    sim::setQuickFactor(saved_factor);
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OpPointMeasure)->Unit(benchmark::kMillisecond);

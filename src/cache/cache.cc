@@ -41,9 +41,8 @@ Cache::Cache(const CacheConfig &cfg) : cfg(cfg)
         STRETCH_ASSERT(total <= cfg.assoc, "way partition exceeds assoc");
     }
     numWays = sets * cfg.assoc;
-    state.reserve(2 * numWays + (numWays + 63) / 64);
-    state.assign(numWays, invalidTag);
-    state.resize(state.capacity(), 0);
+    state.assign(2 * numWays + (numWays + 63) / 64, 0);
+    std::fill_n(state.begin(), numWays, invalidTag);
 }
 
 bool

@@ -1,12 +1,10 @@
 #include "cache/prefetcher.h"
 
-#include <algorithm>
-
 namespace stretch
 {
 
 StridePrefetcher::StridePrefetcher(unsigned streams, unsigned degree)
-    : streams(streams), degree(degree), table(streams), pcs(streams, 0)
+    : streams(streams), degree(degree), table(streams)
 {
 }
 
@@ -16,32 +14,28 @@ StridePrefetcher::observe(ThreadId tid, Addr pc, Addr addr,
 {
     // Fully-associative lookup over the small table.
     Entry *entry = nullptr;
-    for (unsigned i = 0; i < streams; ++i) {
-        if (pcs[i] == pc && table[i].valid && table[i].tid == tid) {
-            entry = &table[i];
+    Entry *victim = nullptr;
+    for (auto &e : table) {
+        if (e.valid && e.pc == pc && e.tid == tid) {
+            entry = &e;
             break;
+        }
+        if (!e.valid) {
+            if (!victim || victim->valid)
+                victim = &e;
+        } else if (!victim || (victim->valid && e.lastUse < victim->lastUse)) {
+            victim = &e;
         }
     }
 
     if (!entry) {
-        // Allocate a fresh stream in the first free entry, else in the
-        // least recently used one.
-        unsigned victim = 0;
-        for (unsigned i = 0; i < streams; ++i) {
-            if (!table[i].valid) {
-                victim = i;
-                break;
-            }
-            if (table[i].lastUse < table[victim].lastUse)
-                victim = i;
-        }
-        Entry &v = table[victim];
-        v = Entry{};
-        v.valid = true;
-        v.tid = tid;
-        v.lastAddr = addr;
-        v.lastUse = ++useClock;
-        pcs[victim] = pc;
+        // Allocate a fresh stream.
+        *victim = Entry{};
+        victim->valid = true;
+        victim->pc = pc;
+        victim->tid = tid;
+        victim->lastAddr = addr;
+        victim->lastUse = ++useClock;
         return;
     }
 
@@ -75,7 +69,6 @@ StridePrefetcher::reset()
 {
     for (auto &e : table)
         e = Entry{};
-    std::fill(pcs.begin(), pcs.end(), 0);
     useClock = 0;
     issuedCount = 0;
 }

@@ -49,6 +49,7 @@ class StridePrefetcher
   private:
     struct Entry
     {
+        Addr pc = 0;
         Addr lastAddr = 0;
         std::int64_t stride = 0;
         std::uint8_t confidence = 0;
@@ -60,9 +61,6 @@ class StridePrefetcher
     unsigned streams;
     unsigned degree;
     std::vector<Entry> table;
-    /** PC tracked by table[i], kept apart so that the per-access lookup
-     *  scans one contiguous array. */
-    std::vector<Addr> pcs;
     std::uint64_t useClock = 0;
     std::uint64_t issuedCount = 0;
 };

@@ -251,27 +251,34 @@ TEST(Hierarchy, StatsAndClear)
     HierarchyConfig cfg = fullMachine();
     cfg.prefetchEnable = true;
     MemoryHierarchy mem(cfg);
-    // Train a stride stream until it prefetches.
-    Cycle t = 0;
-    for (int i = 0; i < 4; ++i, t += 300) {
-        mem.tick(t);
-        mem.dataAccess(0, 0x77, 0x40000 + i * 64, false, t);
-    }
-    EXPECT_GT(mem.l1dMisses(0), 0u);
-    EXPECT_GT(mem.llcMisses(0), 0u);
-    EXPECT_GT(mem.prefetchesIssued(), 0u);
-    mem.tick(t);
-    mem.dataAccess(0, 0x1, 0x900000, false, t); // one demand miss in flight
+    mem.tick(0);
+    mem.dataAccess(0, 0x1, 0x40000, false, 0);
+    // A new stride stream has not prefetched yet: one demand access is
+    // exactly one L1-D miss and one LLC miss.
+    EXPECT_EQ(mem.l1dMisses(0), 1u);
+    EXPECT_EQ(mem.llcMisses(0), 1u);
+    EXPECT_EQ(mem.prefetchesIssued(), 0u);
+    // Two more blocks at the same stride train the stream; the third
+    // access prefetches prefetchDegree blocks ahead, each an LLC miss.
+    mem.tick(1);
+    mem.dataAccess(0, 0x1, 0x40040, false, 1);
+    mem.tick(2);
+    mem.dataAccess(0, 0x1, 0x40080, false, 2);
+    EXPECT_EQ(mem.l1dMisses(0), 3u);
+    EXPECT_EQ(mem.llcMisses(0), 3u + cfg.prefetchDegree);
+    EXPECT_EQ(mem.prefetchesIssued(), cfg.prefetchDegree);
     mem.clearStats();
     EXPECT_EQ(mem.l1dMisses(0), 0u);
     EXPECT_EQ(mem.llcMisses(0), 0u);
     EXPECT_EQ(mem.prefetchesIssued(), 0u);
-    // In-flight and training state survive a stats clear: the trained
-    // stream prefetches again on its very next access.
-    EXPECT_EQ(mem.outstandingDemandMisses(0), 1u);
-    mem.tick(t + 1);
-    mem.dataAccess(0, 0x77, 0x40000 + 4 * 64, false, t + 1);
-    EXPECT_GT(mem.prefetchesIssued(), 0u);
+    // In-flight state survives a stats clear.
+    EXPECT_EQ(mem.outstandingDemandMisses(0), 3u);
+    // So does training: the next access on the stream merges into a
+    // prefetch MSHR and prefetches again straight away.
+    mem.tick(3);
+    mem.dataAccess(0, 0x1, 0x400c0, false, 3);
+    EXPECT_EQ(mem.l1dMisses(0), 1u);
+    EXPECT_EQ(mem.prefetchesIssued(), cfg.prefetchDegree);
 }
 
 TEST(Hierarchy, ParkedRetryMatchesFullLookup)
