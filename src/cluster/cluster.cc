@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "queueing/arrivals.h"
 #include "util/log.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
@@ -166,42 +164,16 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         totalCapacity += capacity[j];
     }
 
-    so.ratePerMs = cfg.arrivalRatePerMs > 0.0 ? cfg.arrivalRatePerMs
-                                              : 0.7 * totalCapacity;
+    so.ratePerMs = sim::offeredRatePerMs(cfg, totalCapacity);
 
-    // Arrival machinery, mirroring the dispatcher's own setup so a rack
-    // of one node sees the same *kind* of traffic a single fleet does.
+    // Arrival machinery: the fleet dispatcher's own factory, so a rack of
+    // one node sees the same *kind* of traffic a single fleet does.
     Rng arrivalRng(util::deriveSeed(cfg.seed, kArrivalStream, 0));
     Rng demandRng(util::deriveSeed(cfg.seed, kDemandStream, 0));
     Rng tagRng(util::deriveSeed(cfg.seed, kClassTagStream, 0));
     Rng probeRng(util::deriveSeed(cfg.seed, kProbeStream, 0));
-
-    std::optional<queueing::ArrivalProcess> shared;
-    std::optional<queueing::ClassArrivalSuperposition> perClass;
-    if (cfg.perClassArrivals) {
-        const std::vector<double> shares = cfg.classes.arrivalShares();
-        std::vector<queueing::ClassArrivalSuperposition::Stream> streams;
-        streams.reserve(shares.size());
-        for (std::size_t k = 0; k < shares.size(); ++k) {
-            const workloads::ClassTraffic &t = cfg.classes.at(
-                static_cast<workloads::ClassId>(k)).traffic;
-            const double r = so.ratePerMs * shares[k];
-            auto proc = t.burstRatio > 1.0
-                            ? queueing::ArrivalProcess::mmpp(
-                                  r, t.burstRatio, t.dwellLowMs,
-                                  t.dwellHighMs)
-                            : queueing::ArrivalProcess::poisson(r);
-            streams.push_back(
-                {proc, Rng(util::deriveSeed(cfg.seed, kArrivalStream, k))});
-        }
-        perClass.emplace(std::move(streams));
-    } else {
-        shared = cfg.burstRatio > 1.0
-                     ? queueing::ArrivalProcess::mmpp(
-                           so.ratePerMs, cfg.burstRatio, cfg.dwellLowMs,
-                           cfg.dwellHighMs)
-                     : queueing::ArrivalProcess::poisson(so.ratePerMs);
-    }
+    sim::ArrivalStream arrivals =
+        sim::makeArrivalStream(cfg, so.ratePerMs, cfg.seed, kArrivalStream);
 
     // Live-node bookkeeping (rebuilt on liveness changes — rare).
     std::vector<std::size_t> live(n);
@@ -486,12 +458,13 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         // pre-boundary part of the gap elapses at the old rate).
         double gap;
         std::uint32_t cls = 0;
-        if (perClass) {
-            const queueing::EventEngine::Arrival a = perClass->next();
+        if (arrivals.perClass) {
+            const queueing::EventEngine::Arrival a =
+                arrivals.perClass->next();
             gap = a.gapMs;
             cls = a.classId;
         } else {
-            gap = shared->next(arrivalRng);
+            gap = arrivals.shared->next(arrivalRng);
             if (hasClasses)
                 cls = cfg.classes.sample(tagRng);
         }
@@ -747,17 +720,11 @@ homogeneousCluster(unsigned n, const sim::FleetConfig &node)
 {
     STRETCH_ASSERT(n >= 1, "a cluster needs at least one node");
     ClusterConfig cfg;
+    static_cast<sim::TrafficSpec &>(cfg) = node;
     cfg.seed = node.seed;
     cfg.requests = node.requests * n;
     cfg.arrivalRatePerMs =
         node.arrivalRatePerMs > 0.0 ? node.arrivalRatePerMs * n : 0.0;
-    cfg.burstRatio = node.burstRatio;
-    cfg.dwellLowMs = node.dwellLowMs;
-    cfg.dwellHighMs = node.dwellHighMs;
-    cfg.classes = node.classes;
-    cfg.perClassArrivals = node.perClassArrivals;
-    cfg.exactTailQuantiles = node.exactTailQuantiles;
-    cfg.timelineBucketMs = node.timelineBucketMs;
     cfg.nodes.reserve(n);
     for (unsigned j = 0; j < n; ++j) {
         sim::FleetConfig nc = node;
@@ -787,6 +754,14 @@ runCluster(const ClusterConfig &cfg)
                    "the spillover threshold must be positive");
     STRETCH_ASSERT(!cfg.perClassArrivals || !cfg.classes.empty(),
                    "per-class arrival processes need a class registry");
+    // The ingress never replays a trace; a node keeping one would run
+    // hour-aware routing and report trace load for a curve it was never
+    // offered.
+    STRETCH_ASSERT(!cfg.trace, "racks do not support diurnal replay");
+    for (std::size_t j = 0; j < n; ++j)
+        STRETCH_ASSERT(!cfg.nodes[j].trace, "cluster node ", j,
+                       " carries a diurnal trace; racks do not support "
+                       "diurnal replay");
     STRETCH_ASSERT(cfg.nodeTracers.empty() || cfg.nodeTracers.size() == n,
                    "nodeTracers must be empty or one per node");
     std::size_t failures = 0;

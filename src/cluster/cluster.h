@@ -153,49 +153,27 @@ struct NodeAction
     double value = 1.0;   ///< arrival factor / capacity factor
 };
 
-/** Full description of a rack experiment: N nodes + ingress. */
-struct ClusterConfig
+/**
+ * Full description of a rack experiment: N nodes + ingress. The
+ * inherited `TrafficSpec` describes the whole rack's stream: `requests`
+ * and `arrivalRatePerMs` are rack-wide (0 targets 70% of the summed
+ * measured node capacities), the ingress draws arrivals, tags and
+ * demands from it, and `classes`, `timelineBucketMs` and
+ * `exactTailQuantiles` are propagated to every node. The ingress never
+ * replays a diurnal trace, so neither the rack nor any node may carry a
+ * `trace`.
+ */
+struct ClusterConfig : sim::TrafficSpec
 {
     /** One complete fleet per node (homogeneous replication via
      *  `homogeneousCluster`, or an explicit heterogeneous list). Node
-     *  class registries are overridden by `classes` below so ingress
-     *  tags and node accounting always agree. */
+     *  class registries are overridden by `classes` so ingress tags and
+     *  node accounting always agree. */
     std::vector<sim::FleetConfig> nodes;
 
     IngressConfig ingress;
 
-    std::uint64_t requests = 20000; ///< cluster-wide stream length
-    /** Cluster-wide arrival rate (req/ms); 0 targets 70% of the summed
-     *  measured node capacities as the mean offered load. */
-    double arrivalRatePerMs = 0.0;
     std::uint64_t seed = 42; ///< ingress arrival/demand/probe stream seed
-
-    /// @name Arrival burstiness: 1 = Poisson, > 1 = MMPP-2 bursts.
-    /// @{
-    double burstRatio = 1.0;
-    double dwellLowMs = 200.0;
-    double dwellHighMs = 40.0;
-    /// @}
-
-    /** Classless demand dispersion: 0 draws exponential unit-mean
-     *  demands, > 0 lognormal with this sigma (ignored with classes). */
-    double demandLogSigma = 0.0;
-
-    /** Request service classes (the ingress draws demands and tags
-     *  arrivals from this registry; propagated to every node). */
-    workloads::ServiceClassRegistry classes;
-
-    /** Per-class arrival processes at the ingress (requires classes;
-     *  mirrors sim::DispatchConfig::perClassArrivals). */
-    bool perClassArrivals = false;
-
-    /** Exact sort-based latency quantiles on every node and in the
-     *  cluster merge (see sim::DispatchConfig::exactTailQuantiles). */
-    bool exactTailQuantiles = false;
-
-    /** Completion-timeline bucketing, propagated to every node; the
-     *  merged cluster timeline shares the same buckets (0 = off). */
-    double timelineBucketMs = 0.0;
 
     /** Node-scoped incidents applied at the ingress. */
     std::vector<NodeAction> actions;
@@ -221,8 +199,8 @@ struct ClusterConfig
  * decorrelated placement/steering streams — while the per-core
  * microarchitectural configs stay identical across nodes, so the
  * operating-point cache measures one node and answers for the rack.
- * The node's class registry and dispatch knobs seed the cluster-level
- * fields.
+ * The node's traffic spec seeds the rack's, scaled to the rack: n x the
+ * node's `requests`, and n x its `arrivalRatePerMs` when one is set.
  */
 ClusterConfig homogeneousCluster(unsigned n, const sim::FleetConfig &node);
 

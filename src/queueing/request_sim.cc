@@ -4,7 +4,7 @@
 
 #include "queueing/arrivals.h"
 #include "queueing/event_engine.h"
-#include "util/histogram.h"
+#include "stats/streaming_tail.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -41,7 +41,7 @@ simulateService(const ServiceSpec &spec, double rate_per_ms,
 
     // The worker pool is a central FCFS queue: every request goes to the
     // worker that frees up first.
-    Histogram hist(1e-3);
+    stats::StreamingTail hist;
     EventEngine engine(spec.workers);
     // Typed policy: every hook below inlines into the engine loop. No
     // gap batching here: this rng interleaves arrival and demand draws,

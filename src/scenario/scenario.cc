@@ -668,22 +668,14 @@ lowerQuiet(const Scenario &s)
                    "per-class arrivals without service classes");
 
     sim::FleetConfig fleet;
+    static_cast<sim::TrafficSpec &>(fleet) = s;
+    if (s.hourlyTimeline)
+        fleet.timelineBucketMs = s.msPerHour;
     fleet.cores = s.cores;
     fleet.slots = s.slots;
     fleet.policy = s.placement;
-    fleet.requests = s.requests;
-    fleet.arrivalRatePerMs = s.arrivalRatePerMs;
     fleet.opsPerRequest = s.opsPerRequest;
     fleet.seed = s.seed;
-    fleet.burstRatio = s.burstRatio;
-    fleet.dwellLowMs = s.dwellLowMs;
-    fleet.dwellHighMs = s.dwellHighMs;
-    fleet.diurnalTrace = s.trace;
-    fleet.msPerHour = s.msPerHour;
-    fleet.timelineBucketMs =
-        s.hourlyTimeline ? s.msPerHour : s.timelineBucketMs;
-    fleet.classes = s.classes;
-    fleet.perClassArrivals = s.perClassArrivals;
     fleet.classRouting = s.classRouting;
     fleet.modeControl = s.control;
     fleet.reuseOperatingPoints = s.reuseOperatingPoints;
@@ -724,11 +716,9 @@ lowerQuiet(const Scenario &s)
 
     if (s.dayRequests) {
         STRETCH_ASSERT(s.trace, "day-sized stream without a diurnal trace");
-        double peak = fleet.arrivalRatePerMs > 0.0
-                          ? fleet.arrivalRatePerMs
-                          : 0.7 * capacity / s.trace->meanLoad();
         fleet.requests = static_cast<std::uint64_t>(
-            peak * s.trace->meanLoad() * 24.0 * s.msPerHour);
+            sim::offeredRatePerMs(fleet, capacity) * s.trace->meanLoad() *
+            24.0 * s.msPerHour);
     }
     return fleet;
 }

@@ -58,8 +58,15 @@ namespace stretch::scenario
  * are plain data so `Sweep` patches — and tests — can mutate a copy
  * after validation. `lower`/`run` re-assert the load-bearing
  * invariants, so a patch cannot silently produce a nonsense run.
+ *
+ * The offered traffic is the inherited `sim::TrafficSpec`, lowered
+ * whole. An explicit `arrivalRatePerMs` is the PEAK rate under a trace;
+ * 0 derives one from a load fraction below or leaves the dispatcher
+ * default. The builder turns `perClassArrivals` on when any class
+ * customises `ServiceClass::traffic`. For a rack (`nodes > 1`)
+ * `requests` and the rate describe the whole rack.
  */
-struct Scenario
+struct Scenario : sim::TrafficSpec
 {
     /** Experiment name (used in sweep labels and logs). */
     std::string name = "scenario";
@@ -80,33 +87,17 @@ struct Scenario
     cluster::IngressConfig ingress;
     /// @}
 
-    /// @name Traffic.
+    /// @name Traffic resolution (beyond the inherited spec).
     /// @{
-    std::uint64_t requests = 20000; ///< stream length (0 = measure only)
     /** Size the stream to span one replayed 24 h day (diurnal only);
      *  overrides `requests`. */
     bool dayRequests = false;
-    /** Absolute arrival rate (req/ms; the PEAK rate under a trace).
-     *  0 = derive from a load fraction or the dispatcher default. */
-    double arrivalRatePerMs = 0.0;
     /** Target *mean* load as a fraction of measured baseline capacity
      *  (0 = unset). Resolved against a calibration probe. */
     double meanLoadFraction = 0.0;
     /** Target *peak* rate as a fraction of measured baseline capacity
      *  (0 = unset); equals the mean without a trace. */
     double peakLoadFraction = 0.0;
-    /** Fleet-wide burstiness (1 = Poisson, > 1 = MMPP-2). */
-    double burstRatio = 1.0;
-    double dwellLowMs = 200.0;  ///< MMPP-2 calm-state mean dwell
-    double dwellHighMs = 40.0;  ///< MMPP-2 burst-state mean dwell
-    /** 24-hour load replay (overrides burstRatio). */
-    std::optional<queueing::DiurnalTrace> trace;
-    double msPerHour = 50.0; ///< time compression of the replay
-    /** Service classes (empty = the untagged single stream). */
-    workloads::ServiceClassRegistry classes;
-    /** Each class sources its own arrival process (auto-enabled when
-     *  any class customises `ServiceClass::traffic`). */
-    bool perClassArrivals = false;
     /// @}
 
     /// @name Control.
@@ -129,8 +120,6 @@ struct Scenario
 
     /// @name Reporting.
     /// @{
-    /** Completion-timeline bucket (ms); 0 = no timeline. */
-    double timelineBucketMs = 0.0;
     /** One timeline bucket per replayed hour (diurnal only);
      *  overrides timelineBucketMs. */
     bool hourlyTimeline = false;

@@ -5,12 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "queueing/arrivals.h"
 #include "queueing/event_engine.h"
 #include "sim/op_point_cache.h"
 #include "stats/streaming_tail.h"
@@ -224,7 +222,7 @@ dispatchRequests(const DispatchConfig &cfg)
     STRETCH_ASSERT(cfg.burstRatio >= 1.0, "burst ratio must be >= 1");
     STRETCH_ASSERT(cfg.demandLogSigma >= 0.0, "negative demand sigma");
     STRETCH_ASSERT(cfg.timelineBucketMs >= 0.0, "negative timeline bucket");
-    STRETCH_ASSERT(!cfg.diurnalTrace || cfg.msPerHour > 0.0,
+    STRETCH_ASSERT(!cfg.trace || cfg.msPerHour > 0.0,
                    "diurnal replay needs a positive ms-per-hour");
 
     const ModeControlConfig &mc = cfg.control;
@@ -359,18 +357,7 @@ dispatchRequests(const DispatchConfig &cfg)
     out.modeStats.assign(n, CoreModeStats{});
     for (std::size_t c = 0; c < n; ++c)
         out.modeStats[c].finalMode = mode[c];
-    if (cfg.arrivalRatePerMs > 0.0) {
-        out.offeredRatePerMs = cfg.arrivalRatePerMs;
-    } else if (cfg.diurnalTrace) {
-        // Default load under a trace: the offered rate is the peak rate,
-        // so normalise by the trace's mean load to keep the effective
-        // MEAN load at 70% of capacity regardless of the trace shape
-        // (an explicit rate stays the peak, documented in the config).
-        out.offeredRatePerMs =
-            0.7 * capacity / cfg.diurnalTrace->meanLoad();
-    } else {
-        out.offeredRatePerMs = 0.7 * capacity;
-    }
+    out.offeredRatePerMs = offeredRatePerMs(cfg, capacity);
     if (requests == 0)
         return out;
 
@@ -380,47 +367,9 @@ dispatchRequests(const DispatchConfig &cfg)
     Rng classRng(cfg.seed, classStream);
     // Arrival source: one fleet-wide stream (weighted class tagging), or
     // — under perClassArrivals — one independent stream per class,
-    // superposed by next-arrival competition. The per-class RNGs derive
-    // from (seed, arrival stream, class id), so adding a class never
-    // perturbs another class's draws.
-    std::optional<queueing::ArrivalProcess> arrivals;
-    std::optional<queueing::ClassArrivalSuperposition> classArrivals;
-    if (perClassArr) {
-        std::vector<double> shares = classesLive.arrivalShares();
-        std::vector<queueing::ClassArrivalSuperposition::Stream> streams;
-        streams.reserve(shares.size());
-        for (std::size_t k = 0; k < shares.size(); ++k) {
-            const workloads::ClassTraffic &t =
-                classesLive.at(static_cast<workloads::ClassId>(k)).traffic;
-            double rate = shares[k] * out.offeredRatePerMs;
-            Rng rng(util::deriveSeed(cfg.seed, arrivalStream, k));
-            auto process = [&]() -> queueing::ArrivalProcess {
-                if (cfg.diurnalTrace) {
-                    return queueing::ArrivalProcess::diurnal(
-                        rate, *cfg.diurnalTrace, cfg.msPerHour,
-                        t.phaseOffsetHours);
-                }
-                if (t.burstRatio > 1.0) {
-                    return queueing::ArrivalProcess::mmpp(
-                        rate, t.burstRatio, t.dwellLowMs, t.dwellHighMs);
-                }
-                return queueing::ArrivalProcess::poisson(rate);
-            }();
-            streams.push_back({std::move(process), rng});
-        }
-        classArrivals.emplace(std::move(streams));
-    } else if (cfg.diurnalTrace) {
-        // Diurnal replay: the offered rate is the PEAK rate; the trace
-        // modulates the instantaneous rate below it.
-        arrivals = queueing::ArrivalProcess::diurnal(
-            out.offeredRatePerMs, *cfg.diurnalTrace, cfg.msPerHour);
-    } else if (cfg.burstRatio > 1.0) {
-        arrivals = queueing::ArrivalProcess::mmpp(
-            out.offeredRatePerMs, cfg.burstRatio, cfg.dwellLowMs,
-            cfg.dwellHighMs);
-    } else {
-        arrivals = queueing::ArrivalProcess::poisson(out.offeredRatePerMs);
-    }
+    // superposed by next-arrival competition.
+    ArrivalStream arrivals = makeArrivalStream(cfg, out.offeredRatePerMs,
+                                               cfg.seed, arrivalStream);
     // Unit-mean demand in "mean-request units": the serving core's rate
     // converts it to milliseconds, so a fast core finishes the same
     // request sooner.
@@ -445,7 +394,7 @@ dispatchRequests(const DispatchConfig &cfg)
             baseline[c] = cfg.rates[c].baseline;
         router = std::make_unique<ClassRouter>(
             classesLive, baseline, cfg.classRouting,
-            cfg.diurnalTrace ? &*cfg.diurnalTrace : nullptr, cfg.msPerHour,
+            cfg.trace ? &*cfg.trace : nullptr, cfg.msPerHour,
             perClassArr);
     }
 
@@ -559,11 +508,11 @@ dispatchRequests(const DispatchConfig &cfg)
         }
         if (perClassArr) {
             // Superposed per-class streams fix the gap and tag jointly.
-            a = classArrivals->next();
+            a = arrivals.perClass->next();
         } else {
             if (gapNext == gapBlock.size()) {
-                arrivals->fill(arrivalsRng, gapBlock.data(),
-                               gapBlock.size());
+                arrivals.shared->fill(arrivalsRng, gapBlock.data(),
+                                      gapBlock.size());
                 gapNext = 0;
             }
             a.gapMs = gapBlock[gapNext++];
@@ -996,8 +945,8 @@ dispatchRequests(const DispatchConfig &cfg)
                 tb.p50Ms = bucketLatencies[b].percentile(50.0);
                 tb.p99Ms = bucketLatencies[b].percentile(99.0);
             }
-            if (cfg.diurnalTrace) {
-                tb.loadFraction = cfg.diurnalTrace->loadAt(
+            if (cfg.trace) {
+                tb.loadFraction = cfg.trace->loadAt(
                     (tb.startMs + 0.5 * cfg.timelineBucketMs) /
                     cfg.msPerHour);
             }
@@ -1298,23 +1247,12 @@ runFleet(const FleetConfig &cfg)
     fleet.batchUipc = stats::summarize(batch_uipc);
 
     DispatchConfig dispatch;
+    static_cast<TrafficSpec &>(dispatch) = cfg;
     dispatch.rates = fleet.modeRates;
     dispatch.policy = cfg.policy;
-    dispatch.requests = cfg.requests;
-    dispatch.arrivalRatePerMs = cfg.arrivalRatePerMs;
     dispatch.seed = cfg.seed;
-    dispatch.burstRatio = cfg.burstRatio;
-    dispatch.dwellLowMs = cfg.dwellLowMs;
-    dispatch.dwellHighMs = cfg.dwellHighMs;
-    dispatch.diurnalTrace = cfg.diurnalTrace;
-    dispatch.msPerHour = cfg.msPerHour;
-    dispatch.timelineBucketMs = cfg.timelineBucketMs;
-    dispatch.classes = cfg.classes;
-    dispatch.perClassArrivals = cfg.perClassArrivals;
     dispatch.classRouting = cfg.classRouting;
-    dispatch.exactTailQuantiles = cfg.exactTailQuantiles;
     dispatch.incidents = cfg.incidents;
-    dispatch.queueKind = cfg.queueKind;
     dispatch.control = cfg.modeControl;
     dispatch.tracer = cfg.tracer;
     dispatch.metrics = cfg.metrics;

@@ -159,7 +159,7 @@ TEST(PerClassDispatch, SixHourPhaseOffsetShiftsTheCompletionTimeline)
     // zones ahead: its per-bucket completion peak must land ~6 replayed
     // hours before the home class's peak.
     sim::DispatchConfig cfg = twoClassConfig();
-    cfg.diurnalTrace = queueing::DiurnalTrace::youtubeCluster();
+    cfg.trace = queueing::DiurnalTrace::youtubeCluster();
     cfg.msPerHour = 60.0;
     cfg.timelineBucketMs = cfg.msPerHour; // one bucket per replayed hour
     cfg.perClassArrivals = true;
@@ -257,7 +257,7 @@ TEST(DiurnalDispatch, DefaultRateTargetsSeventyPercentMeanLoad)
          {queueing::DiurnalTrace::webSearchCluster(),
           queueing::DiurnalTrace::youtubeCluster()}) {
         sim::DispatchConfig diurnal = cfg;
-        diurnal.diurnalTrace = trace;
+        diurnal.trace = trace;
         diurnal.msPerHour = 10.0;
         sim::DispatchOutcome out = sim::dispatchRequests(diurnal);
         // offeredRatePerMs is the peak; peak x meanLoad == the 70% mean.
@@ -267,7 +267,7 @@ TEST(DiurnalDispatch, DefaultRateTargetsSeventyPercentMeanLoad)
 
     // An explicit rate is still the peak rate, untouched.
     sim::DispatchConfig explicit_rate = cfg;
-    explicit_rate.diurnalTrace = queueing::DiurnalTrace::webSearchCluster();
+    explicit_rate.trace = queueing::DiurnalTrace::webSearchCluster();
     explicit_rate.msPerHour = 10.0;
     explicit_rate.arrivalRatePerMs = 3.0;
     EXPECT_DOUBLE_EQ(sim::dispatchRequests(explicit_rate).offeredRatePerMs,

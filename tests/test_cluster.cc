@@ -272,6 +272,22 @@ TEST(ClusterConfigTest, HomogeneousClusterDecorrelatesNodeSeeds)
     }
 }
 
+TEST(ClusterConfigTest, DiurnalTraceIsRejectedOnTheRackAndEveryNode)
+{
+    // The ingress never replays a trace. A node keeping one would run
+    // hour-aware routing and report trace load for a curve it was never
+    // offered, so runCluster refuses a trace anywhere in the config.
+    cluster::ClusterConfig rack = smallRack(2);
+    rack.trace = queueing::DiurnalTrace::webSearchCluster();
+    EXPECT_DEATH(cluster::runCluster(rack),
+                 "racks do not support diurnal replay");
+
+    cluster::ClusterConfig node = smallRack(2);
+    node.nodes[1].trace = queueing::DiurnalTrace::webSearchCluster();
+    EXPECT_DEATH(cluster::runCluster(node),
+                 "cluster node 1 carries a diurnal trace");
+}
+
 // ---------------------------------------------------------- scenario layer
 
 scenario::ScenarioBuilder

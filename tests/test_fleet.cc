@@ -544,13 +544,13 @@ TEST(DiurnalDispatch, TimelineFollowsTheTraceDeterministically)
     cfg.rates = {ModeRates::flat(2.0), ModeRates::flat(2.0)};
     cfg.policy = PlacementPolicy::LeastLoaded;
     cfg.seed = 77;
-    cfg.diurnalTrace = queueing::DiurnalTrace::webSearchCluster();
+    cfg.trace = queueing::DiurnalTrace::webSearchCluster();
     cfg.msPerHour = 20.0;
     cfg.timelineBucketMs = 20.0; // one bucket per replayed hour
     cfg.arrivalRatePerMs = 3.5;  // peak rate, below capacity
     // Enough arrivals to cover a full replayed day at the mean rate.
     cfg.requests = static_cast<std::uint64_t>(
-        cfg.arrivalRatePerMs * cfg.diurnalTrace->meanLoad() * 24.0 *
+        cfg.arrivalRatePerMs * cfg.trace->meanLoad() * 24.0 *
         cfg.msPerHour);
 
     DispatchOutcome a = dispatchRequests(cfg);
@@ -578,14 +578,14 @@ TEST(DiurnalDispatch, TimelineFollowsTheTraceDeterministically)
     EXPECT_LT(static_cast<double>(night),
               0.75 * static_cast<double>(midday));
     EXPECT_NEAR(a.timeline[14].loadFraction,
-                cfg.diurnalTrace->loadAt(14.5), 1e-12);
+                cfg.trace->loadAt(14.5), 1e-12);
 }
 
 TEST(FleetDiurnal, ReplayWithThrottlingIsBitIdenticalAcrossThreads)
 {
     FleetConfig fleet = homogeneousFleet(2, smallConfig());
     fleet.policy = PlacementPolicy::LeastLoaded;
-    fleet.diurnalTrace = queueing::DiurnalTrace::youtubeCluster();
+    fleet.trace = queueing::DiurnalTrace::youtubeCluster();
     fleet.msPerHour = 15.0;
     fleet.timelineBucketMs = 15.0;
     fleet.requests = 3000;

@@ -251,6 +251,88 @@ TEST(ScenarioLowering, TwoClassSharedStreamIsBitIdenticalToFleetWide)
               via_hand.dispatch.perClass[1].latencyMs.p99);
 }
 
+/** A scenario with every traffic field away from its default and an
+ *  explicit rate, so lowering needs no calibration probe. Racks reject a
+ *  trace, so @p withTrace leaves it unset for them. */
+Scenario
+everyTrafficFieldSet(bool withTrace)
+{
+    Scenario s;
+    s.cores = {smallConfig()};
+    s.requests = 1234;
+    s.arrivalRatePerMs = 3.5;
+    s.burstRatio = 2.5;
+    s.dwellLowMs = 150.0;
+    s.dwellHighMs = 30.0;
+    if (withTrace)
+        s.trace = queueing::DiurnalTrace::youtubeCluster();
+    s.msPerHour = 20.0;
+    s.demandLogSigma = 0.3;
+    s.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
+    s.perClassArrivals = true;
+    s.timelineBucketMs = 7.0;
+    s.exactTailQuantiles = true;
+    return s;
+}
+
+void
+expectSameTraffic(const sim::TrafficSpec &got, const sim::TrafficSpec &want)
+{
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.arrivalRatePerMs, want.arrivalRatePerMs);
+    EXPECT_EQ(got.burstRatio, want.burstRatio);
+    EXPECT_EQ(got.dwellLowMs, want.dwellLowMs);
+    EXPECT_EQ(got.dwellHighMs, want.dwellHighMs);
+    ASSERT_EQ(got.trace.has_value(), want.trace.has_value());
+    if (want.trace) {
+        EXPECT_EQ(got.trace->name(), want.trace->name());
+        EXPECT_EQ(got.trace->hourly(), want.trace->hourly());
+    }
+    EXPECT_EQ(got.msPerHour, want.msPerHour);
+    EXPECT_EQ(got.demandLogSigma, want.demandLogSigma);
+    ASSERT_EQ(got.classes.size(), want.classes.size());
+    for (std::size_t k = 0; k < want.classes.size(); ++k)
+        EXPECT_EQ(got.classes.all()[k].name, want.classes.all()[k].name);
+    EXPECT_EQ(got.perClassArrivals, want.perClassArrivals);
+    EXPECT_EQ(got.timelineBucketMs, want.timelineBucketMs);
+    EXPECT_EQ(got.exactTailQuantiles, want.exactTailQuantiles);
+}
+
+TEST(ScenarioLowering, ForwardsEveryTrafficFieldToTheFleet)
+{
+    Scenario s = everyTrafficFieldSet(true);
+    expectSameTraffic(lower(s), s);
+
+    // The fleet level's only overrides: a day-sized stream and an hourly
+    // timeline.
+    s.dayRequests = true;
+    s.hourlyTimeline = true;
+    sim::TrafficSpec want = s;
+    want.requests = static_cast<std::uint64_t>(
+        s.arrivalRatePerMs * s.trace->meanLoad() * 24.0 * s.msPerHour);
+    want.timelineBucketMs = s.msPerHour;
+    expectSameTraffic(lower(s), want);
+}
+
+TEST(ScenarioLowering, ForwardsEveryTrafficFieldToTheRackAndItsNodes)
+{
+    Scenario s = everyTrafficFieldSet(false);
+    s.nodes = 3;
+    cluster::ClusterConfig rack = lowerRack(s);
+
+    // The rack takes the spec as given: requests and rate are rack-wide.
+    expectSameTraffic(rack, s);
+
+    // Each node keeps the spec minus its own rate (the ingress owns
+    // arrivals and injects them).
+    sim::TrafficSpec node = s;
+    node.arrivalRatePerMs = 0.0;
+    ASSERT_EQ(rack.nodes.size(), 3u);
+    for (const sim::FleetConfig &n : rack.nodes)
+        expectSameTraffic(n, node);
+}
+
 TEST(ScenarioCalibration, ResolvesLoadFractionsAndQosTarget)
 {
     sim::RunConfig base = smallConfig();

@@ -367,12 +367,12 @@ TEST(ClassDispatch, TimelineCarriesPerClassCells)
     sim::DispatchConfig cfg = classDispatchConfig(3.0);
     cfg.classes = twoClasses(2.0, 50.0);
     cfg.policy = sim::PlacementPolicy::ClassAware;
-    cfg.diurnalTrace = queueing::DiurnalTrace::webSearchCluster();
+    cfg.trace = queueing::DiurnalTrace::webSearchCluster();
     cfg.msPerHour = 20.0;
     cfg.timelineBucketMs = 20.0;
     cfg.arrivalRatePerMs = 4.0; // peak rate
     cfg.requests = static_cast<std::uint64_t>(
-        cfg.arrivalRatePerMs * cfg.diurnalTrace->meanLoad() * 24.0 *
+        cfg.arrivalRatePerMs * cfg.trace->meanLoad() * 24.0 *
         cfg.msPerHour);
     sim::DispatchOutcome out = sim::dispatchRequests(cfg);
 

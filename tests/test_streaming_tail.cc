@@ -50,7 +50,8 @@ expectQuantilesWithinOneBin(const std::vector<double> &samples)
         tail.record(v);
     std::vector<double> sorted(samples);
     std::sort(sorted.begin(), sorted.end());
-    for (double pct : {25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9}) {
+    for (double pct : {0.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9,
+                       100.0}) {
         const double exact = exactCeilRank(sorted, pct);
         const double est = tail.percentile(pct);
         // The estimate lives in the same log-scale bin as the exact
@@ -73,6 +74,13 @@ TEST(StreamingTail, LognormalQuantilesWithinOneBin)
     samples.reserve(50000);
     for (int i = 0; i < 50000; ++i)
         samples.push_back(rng.lognormal(0.5, 1.0));
+    expectQuantilesWithinOneBin(samples);
+
+    // A narrower, shifted body (the request simulator's latency shape).
+    Rng narrow(37);
+    samples.clear();
+    for (int i = 0; i < 100000; ++i)
+        samples.push_back(narrow.lognormal(2.0, 0.8));
     expectQuantilesWithinOneBin(samples);
 }
 
@@ -108,9 +116,11 @@ TEST(StreamingTail, BinIndexIsMonotoneAndInvertible)
         }
         prev = v;
     }
-    // Zeros and subnormals collapse into the first bin, not UB.
+    // Zeros, subnormals and negatives collapse into the first bin, not
+    // UB.
     EXPECT_EQ(StreamingTail::binIndex(0.0), 0u);
     EXPECT_EQ(StreamingTail::binIndex(1e-320), 0u);
+    EXPECT_EQ(StreamingTail::binIndex(-5.0), 0u);
 }
 
 TEST(StreamingTail, MergeIsAssociativeAndLossless)
@@ -156,7 +166,9 @@ TEST(StreamingTail, MergeIntoEmptyAndFromEmpty)
     b.record(7.0);
     a.merge(b); // empty += non-empty adopts wholesale
     EXPECT_EQ(a.count(), 2u);
+    EXPECT_DOUBLE_EQ(a.min(), 2.5);
     EXPECT_DOUBLE_EQ(a.max(), 7.0);
+    EXPECT_DOUBLE_EQ(a.mean(), 4.75);
     StreamingTail empty;
     a.merge(empty); // += empty is a no-op
     EXPECT_EQ(a.count(), 2u);

@@ -1,11 +1,9 @@
 /**
  * @file
  * Unit tests for the util substrate: deterministic RNG, Zipf sampling,
- * hierarchical seed derivation, the log-bucketed latency histogram, and
- * the thread pool.
+ * hierarchical seed derivation, and the thread pool.
  */
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -19,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/histogram.h"
 #include "util/rng.h"
 #include "util/seed_stream.h"
 #include "util/thread_pool.h"
@@ -151,96 +148,6 @@ TEST(Zipf, LargeItemCountUsesApproximateZeta)
     ZipfSampler zipf(1 << 20, 0.8);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LT(zipf.sample(rng), 1u << 20);
-}
-
-TEST(Histogram, CountMeanMinMax)
-{
-    Histogram h;
-    h.record(1.0);
-    h.record(2.0);
-    h.record(3.0);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_NEAR(h.mean(), 2.0, 1e-9);
-    EXPECT_NEAR(h.min(), 1.0, 1e-9);
-    EXPECT_NEAR(h.max(), 3.0, 1e-9);
-}
-
-TEST(Histogram, PercentileAccuracy)
-{
-    Histogram h;
-    std::vector<double> values;
-    Rng rng(37);
-    for (int i = 0; i < 100000; ++i) {
-        double v = rng.lognormal(2.0, 0.8);
-        values.push_back(v);
-        h.record(v);
-    }
-    std::sort(values.begin(), values.end());
-    for (double pct : {50.0, 90.0, 95.0, 99.0, 99.9}) {
-        double exact = values[static_cast<std::size_t>(
-            pct / 100.0 * (values.size() - 1))];
-        double approx = h.percentile(pct);
-        // Log-bucketed histogram: ~1% relative error budget.
-        EXPECT_NEAR(approx / exact, 1.0, 0.02) << "pct " << pct;
-    }
-}
-
-TEST(Histogram, PercentileBounds)
-{
-    Histogram h;
-    h.record(5.0);
-    h.record(50.0);
-    EXPECT_NEAR(h.percentile(0.0), 5.0, 1e-9);
-    EXPECT_NEAR(h.percentile(100.0), 50.0, 1e-9);
-    EXPECT_LE(h.percentile(99.0), 50.0);
-}
-
-TEST(Histogram, EmptyIsZero)
-{
-    Histogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.percentile(99.0), 0.0);
-    EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, WeightedRecord)
-{
-    Histogram h;
-    h.record(1.0, 99);
-    h.record(100.0, 1);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_LT(h.percentile(50.0), 2.0);
-    EXPECT_GT(h.percentile(99.5), 50.0);
-}
-
-TEST(Histogram, Merge)
-{
-    Histogram a, b;
-    for (int i = 1; i <= 100; ++i)
-        a.record(i);
-    for (int i = 101; i <= 200; ++i)
-        b.record(i);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 200u);
-    EXPECT_NEAR(a.max(), 200.0, 1e-9);
-    EXPECT_NEAR(a.percentile(50.0) / 100.0, 1.0, 0.05);
-}
-
-TEST(Histogram, Reset)
-{
-    Histogram h;
-    h.record(10.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.max(), 0.0);
-}
-
-TEST(Histogram, NegativeClamped)
-{
-    Histogram h;
-    h.record(-5.0);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_GE(h.percentile(50.0), 0.0);
 }
 
 TEST(Types, BlockAddr)
