@@ -812,7 +812,6 @@ runCluster(const ClusterConfig &cfg)
         nc.timelineBucketMs = cfg.timelineBucketMs;
         nc.requests = so.injected[j].size();
         nc.injected = &so.injected[j];
-        nc.keepRecorders = true;
         nc.threads = 1; // node-level parallelism owns the pool
         nc.metrics = nullptr;
         nc.tracer = cfg.nodeTracers.empty() ? nullptr : cfg.nodeTracers[j];

@@ -466,7 +466,7 @@ dispatchRequests(const DispatchConfig &cfg)
     std::vector<std::uint64_t> classGood(numClasses, 0);
     std::vector<std::uint64_t> classShed(numClasses, 0);
 
-    queueing::EventEngine engine(n, cfg.queueKind);
+    queueing::EventEngine engine(n);
     stats::TailRecorder latencies(exact);
     latencies.reserve(requests);
     std::size_t rr_next = 0; // round-robin cursor over serving cores
@@ -1070,11 +1070,9 @@ dispatchRequests(const DispatchConfig &cfg)
 
     // Hand the raw recorders to the caller last — every summary and
     // metric above has already been derived from them.
-    if (cfg.keepRecorders) {
-        out.latencyRecorder = std::move(latencies);
-        out.classRecorders = std::move(classLatencies);
-        out.timelineRecorders = std::move(bucketLatencies);
-    }
+    out.latencyRecorder = std::move(latencies);
+    out.classRecorders = std::move(classLatencies);
+    out.timelineRecorders = std::move(bucketLatencies);
     return out;
 }
 
@@ -1257,7 +1255,6 @@ runFleet(const FleetConfig &cfg)
     dispatch.tracer = cfg.tracer;
     dispatch.metrics = cfg.metrics;
     dispatch.injected = cfg.injected;
-    dispatch.keepRecorders = cfg.keepRecorders;
     fleet.dispatch = dispatchRequests(dispatch);
 
     // Close the loop's throughput accounting: weight each core's batch

@@ -328,11 +328,6 @@ struct DispatchConfig : TrafficSpec
      */
     std::vector<IncidentAction> incidents;
 
-    /** Event-queue backing for the dispatch engine. Both kinds deliver
-     *  the exact same event order (see queueing::EventQueueKind); the
-     *  knob exists for equivalence tests. */
-    queueing::EventQueueKind queueKind = queueing::EventQueueKind::Calendar;
-
     ModeControlConfig control;
 
     /// @name Observability taps (non-owning; both optional).
@@ -356,15 +351,6 @@ struct DispatchConfig : TrafficSpec
      * its recorded sojourn. The list must be sorted by `atMs`.
      */
     const std::vector<InjectedArrival> *injected = nullptr;
-
-    /**
-     * Keep the raw latency recorders in the outcome (fleet-wide,
-     * per-class, and per-timeline-bucket) so a cluster merge can combine
-     * per-node tails exactly — StreamingTail merges are associative and
-     * exact-mode recorders concatenate — instead of re-deriving
-     * quantiles from the folded summaries.
-     */
-    bool keepRecorders = false;
 };
 
 /** Latency/throughput summary of one timeline bucket (see
@@ -448,10 +434,12 @@ struct DispatchOutcome
     /** Requests dropped at admission across all classes. */
     std::uint64_t totalShed = 0;
 
-    /// @name Raw latency recorders (populated only when the config set
-    /// `keepRecorders`; empty otherwise). Index conventions match
-    /// `perClass` and `timeline`. The cluster layer merges these across
-    /// nodes to build exact fleet-of-fleets tails.
+    /// @name Raw latency recorders the summaries above were derived from.
+    /// Index conventions match `perClass` and `timeline`. The cluster
+    /// layer merges these across nodes to build exact fleet-of-fleets
+    /// tails: StreamingTail merges are associative and exact-mode
+    /// recorders concatenate, so no quantile is re-derived from a
+    /// folded summary.
     /// @{
     stats::TailRecorder latencyRecorder;
     std::vector<stats::TailRecorder> classRecorders;
@@ -558,10 +546,6 @@ struct FleetConfig : TrafficSpec
     /** Pre-steered arrival stream, forwarded to the dispatcher (see
      *  DispatchConfig::injected; non-owning, optional). */
     const std::vector<InjectedArrival> *injected = nullptr;
-
-    /** Keep raw latency recorders in the dispatch outcome (see
-     *  DispatchConfig::keepRecorders). */
-    bool keepRecorders = false;
 };
 
 /**

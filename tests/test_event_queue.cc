@@ -1,15 +1,21 @@
 /**
  * @file
- * Drain-order property tests for the event engine's calendar queue: the
- * calendar and the reference binary heap must deliver the exact same
- * callback sequence — completions, quantum boundaries, and sheds, with
- * every field bit-identical — under randomized arrival/quantum/shed
+ * Drain-order property tests for the event engine's calendar queue. A
+ * reference binary heap (`std::priority_queue`) books every request the
+ * engine books and checks each delivery live — every completion must be
+ * the reference minimum with the server, start and arrival it was booked
+ * with, and no booked request may still be pending once the loop has
+ * moved past its finish time — under randomized arrival/quantum/shed
  * traffic, including exact finish-time ties, far-future events, and
- * capacity charges. This is the correctness gate for the hot-path
- * overhaul: the queue layout may never change a simulated result.
+ * capacity charges. This is the correctness gate for the calendar queue
+ * and the shared drain loop: the queue layout may never change a
+ * simulated result.
  */
 
 #include <cstdint>
+#include <queue>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,85 +49,71 @@ struct Event
     }
 };
 
+/** Min-heap order over bookings: finish time, then arrival index. */
+struct LaterBooking
+{
+    bool
+    operator()(const Completion &x, const Completion &y) const
+    {
+        if (x.finishMs != y.finishMs)
+            return x.finishMs > y.finishMs;
+        return x.index > y.index;
+    }
+};
+
+/** A replayed run: the callback log plus every disagreement between the
+ *  engine and the reference heap (the first one described). */
+struct Replay
+{
+    std::vector<Event> log;
+    std::uint64_t violations = 0;
+    std::string firstViolation;
+
+    void
+    violate(const std::string &what)
+    {
+        if (violations++ == 0)
+            firstViolation = what;
+    }
+};
+
 /** Adversarial traffic shape: bursts of simultaneous arrivals, zero
  *  demands (finish == start ties), occasional far-future demands, random
  *  sheds, quantum boundaries with capacity charges. Deterministic in the
- *  seed, identical across engine kinds. */
-std::vector<Event>
-replay(EventQueueKind kind, std::uint64_t seed, double rateHint)
+ *  seed. Every booking also goes into a reference heap that checks the
+ *  engine's deliveries as they happen. */
+Replay
+replay(std::uint64_t seed, double rateHint)
 {
     constexpr std::size_t servers = 4;
-    EventEngine engine(servers, kind);
+    EventEngine engine(servers);
     Rng rng(seed, 0x5eed);
-    std::vector<Event> log;
+    Replay out;
+    std::priority_queue<Completion, std::vector<Completion>, LaterBooking>
+        reference;
+    Completion next; // the request being generated, filled hook by hook
+    std::uint64_t arrivals = 0;
 
-    EventEngine::Callbacks cb;
-    cb.quantumMs = 0.4;
-    cb.rateHintPerMs = rateHint;
-    cb.nextGap = [&]() -> double {
-        double u = rng.uniform();
-        if (u < 0.2)
-            return 0.0; // simultaneous arrivals
-        if (u < 0.25)
-            return rng.exponential(40.0); // long lull
-        return rng.exponential(0.25);
+    auto log = [&](const Event &e) {
+        if (!out.log.empty() && e.timeMs < out.log.back().timeMs) {
+            std::ostringstream what;
+            what << "event " << out.log.size() << " at " << e.timeMs
+                 << " logged after " << out.log.back().timeMs;
+            out.violate(what.str());
+        }
+        out.log.push_back(e);
     };
-    cb.nextClass = [&] { return static_cast<std::uint32_t>(rng.below(6)); };
-    cb.nextDemand = [&](std::uint32_t) -> double {
-        double u = rng.uniform();
-        if (u < 0.15)
-            return 0.0; // finish == start: exact-tie pressure
-        if (u < 0.2)
-            return rng.exponential(120.0); // far-future completion
-        return rng.exponential(0.8);
+    // Nothing booked may still be pending once the loop has delivered
+    // every event up to @p t (completions first on ties).
+    auto nothingDueBy = [&](double t, const char *where) {
+        if (!reference.empty() && !(reference.top().finishMs > t)) {
+            std::ostringstream what;
+            what << "request " << reference.top().index << " finishing at "
+                 << reference.top().finishMs << " still pending at " << where
+                 << " " << t;
+            out.violate(what.str());
+        }
     };
-    cb.place = [&](double, double, std::uint32_t) -> std::size_t {
-        if (rng.uniform() < 0.05)
-            return EventEngine::shed;
-        return rng.below(servers);
-    };
-    cb.finish = [&](std::size_t, double start, double demand) {
-        // Snap some finishes to a coarse grid so distinct requests
-        // collide on the exact same finish time (index tie-break).
-        double finish = start + demand;
-        if (rng.uniform() < 0.3)
-            finish = start + static_cast<double>(static_cast<int>(demand));
-        return finish;
-    };
-    cb.onComplete = [&](const Completion &c) {
-        log.push_back({Event::Complete, c.index, c.server, c.classId,
-                       c.arrivalMs, c.startMs, c.finishMs});
-    };
-    cb.onShed = [&](std::uint64_t index, double now, double demand,
-                    std::uint32_t cls) {
-        log.push_back({Event::Shed, index, 0, cls, now, demand, now});
-    };
-    cb.onQuantum = [&](double boundary) {
-        log.push_back({Event::Quantum, 0, 0, 0, 0.0, 0.0, boundary});
-        // Capacity charges stretch backlogs mid-run, shifting future
-        // bookings relative to the calendar's adapted width.
-        if (rng.uniform() < 0.1)
-            engine.chargeCapacity(rng.below(servers), boundary,
-                                  rng.exponential(1.0));
-    };
-
-    engine.run(3000, cb);
-    return log;
-}
-
-/**
- * The same adversarial traffic driven through a statically-typed policy
- * (EventEngine::run(Policy&&)) instead of the std::function Callbacks.
- * Draw order matches replay() exactly — gap, then class, then demand —
- * so both paths consume identical RNG streams.
- */
-std::vector<Event>
-replayTyped(EventQueueKind kind, std::uint64_t seed, double rateHint)
-{
-    constexpr std::size_t servers = 4;
-    EventEngine engine(servers, kind);
-    Rng rng(seed, 0x5eed);
-    std::vector<Event> log;
 
     auto policy = makePolicy(
         [&]() -> EventEngine::Arrival {
@@ -133,7 +125,9 @@ replayTyped(EventQueueKind kind, std::uint64_t seed, double rateHint)
                 gap = rng.exponential(40.0); // long lull
             else
                 gap = rng.exponential(0.25);
-            return {gap, static_cast<std::uint32_t>(rng.below(6))};
+            next.index = arrivals++;
+            next.classId = static_cast<std::uint32_t>(rng.below(6));
+            return {gap, next.classId};
         },
         [&](std::uint32_t) -> double {
             double u = rng.uniform();
@@ -143,66 +137,75 @@ replayTyped(EventQueueKind kind, std::uint64_t seed, double rateHint)
                 return rng.exponential(120.0); // far-future completion
             return rng.exponential(0.8);
         },
-        [&](double, double, std::uint32_t) -> std::size_t {
+        [&](double now, double, std::uint32_t) -> std::size_t {
+            nothingDueBy(now, "arrival");
+            next.arrivalMs = now;
             if (rng.uniform() < 0.05)
                 return EventEngine::shed;
             return rng.below(servers);
         },
-        [&](std::size_t, double start, double demand) {
+        [&](std::size_t server, double start, double demand) {
+            // Snap some finishes to a coarse grid so distinct requests
+            // collide on the exact same finish time (index tie-break).
             double finish = start + demand;
             if (rng.uniform() < 0.3)
-                finish =
-                    start + static_cast<double>(static_cast<int>(demand));
+                finish = start + static_cast<double>(static_cast<int>(demand));
+            next.server = server;
+            next.startMs = start;
+            next.finishMs = finish;
+            reference.push(next);
             return finish;
         },
         [&](const Completion &c) {
-            log.push_back({Event::Complete, c.index, c.server, c.classId,
-                           c.arrivalMs, c.startMs, c.finishMs});
+            log({Event::Complete, c.index, c.server, c.classId, c.arrivalMs,
+                 c.startMs, c.finishMs});
+            if (reference.empty()) {
+                out.violate("completion delivered with nothing booked");
+                return;
+            }
+            const Completion &want = reference.top();
+            if (c.index != want.index || c.server != want.server ||
+                c.classId != want.classId || c.arrivalMs != want.arrivalMs ||
+                c.startMs != want.startMs || c.finishMs != want.finishMs) {
+                std::ostringstream what;
+                what << "delivered request " << c.index << " finishing at "
+                     << c.finishMs << ", reference minimum is request "
+                     << want.index << " finishing at " << want.finishMs;
+                out.violate(what.str());
+            }
+            reference.pop();
         },
         [&](std::uint64_t index, double now, double demand,
             std::uint32_t cls) {
-            log.push_back({Event::Shed, index, 0, cls, now, demand, now});
+            log({Event::Shed, index, 0, cls, now, demand, now});
         },
         [&](double boundary) {
-            log.push_back({Event::Quantum, 0, 0, 0, 0.0, 0.0, boundary});
+            nothingDueBy(boundary, "boundary");
+            log({Event::Quantum, 0, 0, 0, 0.0, 0.0, boundary});
+            // Capacity charges stretch backlogs mid-run, shifting future
+            // bookings relative to the calendar's adapted width.
             if (rng.uniform() < 0.1)
                 engine.chargeCapacity(rng.below(servers), boundary,
                                       rng.exponential(1.0));
-        });
-    policy.quantum = 0.4;
-    policy.rateHint = rateHint;
+        },
+        0.4, rateHint);
+
     engine.run(3000, policy);
-    return log;
+    if (!reference.empty()) {
+        std::ostringstream what;
+        what << reference.size() << " booked requests never delivered";
+        out.violate(what.str());
+    }
+    return out;
 }
 
 TEST(EventQueue, CalendarMatchesHeapUnderRandomizedTraffic)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        std::vector<Event> heap = replay(EventQueueKind::Heap, seed, 4.0);
-        std::vector<Event> cal = replay(EventQueueKind::Calendar, seed, 4.0);
-        ASSERT_EQ(heap.size(), cal.size()) << "seed " << seed;
-        for (std::size_t i = 0; i < heap.size(); ++i)
-            ASSERT_TRUE(heap[i] == cal[i])
-                << "seed " << seed << " event " << i;
-    }
-}
-
-TEST(EventQueue, TypedPolicyMatchesErasedCallbacksBitForBit)
-{
-    // The devirtualized run(Policy&&) loop must be an optimization only:
-    // under the same adversarial traffic it has to deliver the exact
-    // callback sequence the std::function adapter path delivers — every
-    // field bit-identical, across seeds and both queue kinds.
-    for (EventQueueKind kind :
-         {EventQueueKind::Calendar, EventQueueKind::Heap}) {
-        for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-            std::vector<Event> erased = replay(kind, seed, 4.0);
-            std::vector<Event> typed = replayTyped(kind, seed, 4.0);
-            ASSERT_EQ(erased.size(), typed.size()) << "seed " << seed;
-            for (std::size_t i = 0; i < erased.size(); ++i)
-                ASSERT_TRUE(erased[i] == typed[i])
-                    << "seed " << seed << " event " << i;
-        }
+        Replay r = replay(seed, 4.0);
+        EXPECT_GT(r.log.size(), 3000u) << "seed " << seed;
+        EXPECT_EQ(r.violations, 0u)
+            << "seed " << seed << ": " << r.firstViolation;
     }
 }
 
@@ -210,9 +213,9 @@ TEST(EventQueue, RateHintNeverChangesResults)
 {
     // The hint only seeds the initial bucket width; wildly wrong hints
     // must still produce the identical callback sequence.
-    std::vector<Event> ref = replay(EventQueueKind::Calendar, 77, 0.0);
+    std::vector<Event> ref = replay(77, 0.0).log;
     for (double hint : {1e-6, 0.01, 4.0, 1e6}) {
-        std::vector<Event> got = replay(EventQueueKind::Calendar, 77, hint);
+        std::vector<Event> got = replay(77, hint).log;
         ASSERT_EQ(ref.size(), got.size()) << "hint " << hint;
         for (std::size_t i = 0; i < ref.size(); ++i)
             ASSERT_TRUE(ref[i] == got[i]) << "hint " << hint;
@@ -223,59 +226,43 @@ TEST(EventQueue, EngineReuseIsClean)
 {
     // A second run on the same engine must not leak the first run's
     // events or adapted calendar shape into its results.
-    EventEngine engine(2, EventQueueKind::Calendar);
+    EventEngine engine(2);
     std::vector<double> finishes;
-    EventEngine::Callbacks cb;
-    cb.nextGap = [] { return 0.5; };
-    cb.nextDemand = [](std::uint32_t) { return 2.0; };
-    cb.place = [&](double, double, std::uint32_t) {
-        return engine.leastFreeServer();
-    };
-    cb.finish = [](std::size_t, double start, double demand) {
-        return start + demand;
-    };
-    cb.onComplete = [&](const Completion &c) {
-        finishes.push_back(c.finishMs);
-    };
-    engine.run(100, cb);
+    auto policy = makePolicy(
+        [] { return EventEngine::Arrival{0.5, 0}; },
+        [](std::uint32_t) { return 2.0; },
+        [&](double, double, std::uint32_t) {
+            return engine.leastFreeServer();
+        },
+        [](std::size_t, double start, double demand) {
+            return start + demand;
+        },
+        [&](const Completion &c) { finishes.push_back(c.finishMs); });
+    engine.run(100, policy);
     std::vector<double> first = finishes;
     finishes.clear();
-    engine.run(100, cb);
+    engine.run(100, policy);
     EXPECT_EQ(first, finishes);
 }
 
 TEST(EventQueue, ExactTiesDeliverInArrivalIndexOrder)
 {
     // Every request arrives at t=0 with zero demand: all finishes tie at
-    // 0.0 and the engine must break ties by arrival index, whatever the
-    // backing queue.
-    for (EventQueueKind kind :
-         {EventQueueKind::Calendar, EventQueueKind::Heap}) {
-        EventEngine engine(3, kind);
-        std::vector<std::uint64_t> order;
-        EventEngine::Callbacks cb;
-        cb.nextGap = [] { return 0.0; };
-        cb.nextDemand = [](std::uint32_t) { return 0.0; };
-        cb.place = [&](double, double, std::uint32_t) {
+    // 0.0 and the engine must break ties by arrival index.
+    EventEngine engine(3);
+    std::vector<std::uint64_t> order;
+    auto policy = makePolicy(
+        [] { return EventEngine::Arrival{0.0, 0}; },
+        [](std::uint32_t) { return 0.0; },
+        [&](double, double, std::uint32_t) {
             return engine.leastFreeServer();
-        };
-        cb.finish = [](std::size_t, double start, double) { return start; };
-        cb.onComplete = [&](const Completion &c) {
-            order.push_back(c.index);
-        };
-        engine.run(50, cb);
-        ASSERT_EQ(order.size(), 50u);
-        for (std::uint64_t i = 0; i < order.size(); ++i)
-            EXPECT_EQ(order[i], i);
-    }
-}
-
-TEST(EventQueue, QueueKindIsReportedAndDefaultsToCalendar)
-{
-    EventEngine def(1);
-    EXPECT_EQ(def.queueKind(), EventQueueKind::Calendar);
-    EventEngine heap(1, EventQueueKind::Heap);
-    EXPECT_EQ(heap.queueKind(), EventQueueKind::Heap);
+        },
+        [](std::size_t, double start, double) { return start; },
+        [&](const Completion &c) { order.push_back(c.index); });
+    engine.run(50, policy);
+    ASSERT_EQ(order.size(), 50u);
+    for (std::uint64_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "sim/fleet.h"
 #include "sim/op_point_cache.h"
 #include "sim/runner.h"
+#include "workload/service_class.h"
 
 namespace stretch::sim
 {
@@ -579,6 +580,35 @@ TEST(DiurnalDispatch, TimelineFollowsTheTraceDeterministically)
               0.75 * static_cast<double>(midday));
     EXPECT_NEAR(a.timeline[14].loadFraction,
                 cfg.trace->loadAt(14.5), 1e-12);
+}
+
+TEST(DispatchRecorders, OutcomeCarriesTheRecordersItsSummariesCameFrom)
+{
+    // The cluster merge builds rack-wide tails from these recorders, so
+    // each must hold exactly the samples its folded summary counts.
+    DispatchConfig cfg;
+    cfg.rates.assign(4, ModeRates{2.0, 1.7, 2.4, 2.6});
+    cfg.requests = 5000;
+    cfg.arrivalRatePerMs = 6.0;
+    cfg.seed = 5;
+    cfg.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
+    cfg.policy = PlacementPolicy::ClassAware;
+    cfg.timelineBucketMs = 50.0;
+    DispatchOutcome out = dispatchRequests(cfg);
+
+    EXPECT_EQ(out.latencyRecorder.count(), out.latencyMs.count);
+    ASSERT_EQ(out.classRecorders.size(), out.perClass.size());
+    ASSERT_EQ(out.perClass.size(), 2u);
+    for (std::size_t k = 0; k < out.perClass.size(); ++k)
+        EXPECT_EQ(out.classRecorders[k].count(), out.perClass[k].completed)
+            << "class " << k;
+    ASSERT_EQ(out.timelineRecorders.size(), out.timeline.size());
+    ASSERT_GT(out.timeline.size(), 1u);
+    for (std::size_t i = 0; i < out.timeline.size(); ++i)
+        EXPECT_EQ(out.timelineRecorders[i].count(),
+                  out.timeline[i].completions)
+            << "bucket " << i;
 }
 
 TEST(FleetDiurnal, ReplayWithThrottlingIsBitIdenticalAcrossThreads)
