@@ -166,14 +166,15 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
 
     so.ratePerMs = sim::offeredRatePerMs(cfg, totalCapacity);
 
-    // Arrival machinery: the fleet dispatcher's own factory, so a rack of
-    // one node sees the same *kind* of traffic a single fleet does.
-    Rng arrivalRng(util::deriveSeed(cfg.seed, kArrivalStream, 0));
-    Rng demandRng(util::deriveSeed(cfg.seed, kDemandStream, 0));
-    Rng tagRng(util::deriveSeed(cfg.seed, kClassTagStream, 0));
+    // The fleet dispatcher's own request source over the ingress's
+    // streams, so a rack of one node sees the same *kind* of traffic a
+    // single fleet does.
+    sim::RequestSource source(
+        cfg, so.ratePerMs, Rng(util::deriveSeed(cfg.seed, kArrivalStream, 0)),
+        Rng(util::deriveSeed(cfg.seed, kClassTagStream, 0)),
+        Rng(util::deriveSeed(cfg.seed, kDemandStream, 0)), cfg.seed,
+        kArrivalStream);
     Rng probeRng(util::deriveSeed(cfg.seed, kProbeStream, 0));
-    sim::ArrivalStream arrivals =
-        sim::makeArrivalStream(cfg, so.ratePerMs, cfg.seed, kArrivalStream);
 
     // Live-node bookkeeping (rebuilt on liveness changes — rare).
     std::vector<std::size_t> live(n);
@@ -456,18 +457,8 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         // Next cluster arrival. The gap splits at action boundaries so
         // an arrival-scale change applies at its exact timestamp (the
         // pre-boundary part of the gap elapses at the old rate).
-        double gap;
-        std::uint32_t cls = 0;
-        if (arrivals.perClass) {
-            const queueing::EventEngine::Arrival a =
-                arrivals.perClass->next();
-            gap = a.gapMs;
-            cls = a.classId;
-        } else {
-            gap = arrivals.shared->next(arrivalRng);
-            if (hasClasses)
-                cls = cfg.classes.sample(tagRng);
-        }
+        const sim::OfferedRequest req = source.next();
+        double gap = req.gapMs;
         while (nextAction < actions.size() &&
                t + gap / arrivalFactor >= actions[nextAction].atMs) {
             gap -= (actions[nextAction].atMs - t) * arrivalFactor;
@@ -476,14 +467,6 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             ++nextAction;
         }
         t += gap / arrivalFactor;
-
-        const double demand =
-            hasClasses ? cfg.classes.drawDemand(cls, demandRng)
-            : cfg.demandLogSigma > 0.0
-                ? demandRng.lognormal(
-                      -cfg.demandLogSigma * cfg.demandLogSigma / 2.0,
-                      cfg.demandLogSigma) // unit mean
-                : demandRng.exponential(1.0);
 
         refreshSignals(t);
 
@@ -514,8 +497,8 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
             }
         }
 
-        const std::size_t target = steer(t, cls);
-        enqueue(nodes[target], t, t, demand, cls);
+        const std::size_t target = steer(t, req.classId);
+        enqueue(nodes[target], t, t, req.demand, req.classId);
         flushStarted(nodes[target], t);
         ++so.stats.decisions;
     }
@@ -544,20 +527,26 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
     return so;
 }
 
-/** Merge per-node fleet results into the cluster-level view. */
+/**
+ * Merge per-node fleet results into the cluster-level view: concatenate
+ * the core-indexed vectors, merge the recorders, sum the counts, then
+ * summarize exactly the way a node does.
+ */
 sim::FleetResult
 mergeNodes(const ClusterConfig &cfg,
            const std::vector<sim::FleetResult> &nodes, double rate_per_ms)
 {
     sim::FleetResult m;
-    const bool exact = cfg.exactTailQuantiles;
+    const stats::TailRecorder recorderProto(cfg.exactTailQuantiles);
 
     // Core-indexed vectors concatenate the nodes in index order, so the
     // merged view is a genuine "every core in the rack" fleet.
-    std::vector<double> lsUipc, batchUipc;
+    std::vector<sim::RunConfig> coreCfgs;
     for (std::size_t j = 0; j < nodes.size(); ++j) {
         const sim::FleetResult &nr = nodes[j];
         m.cores.insert(m.cores.end(), nr.cores.begin(), nr.cores.end());
+        coreCfgs.insert(coreCfgs.end(), cfg.nodes[j].cores.begin(),
+                        cfg.nodes[j].cores.end());
         m.serviceRatePerMs.insert(m.serviceRatePerMs.end(),
                                   nr.serviceRatePerMs.begin(),
                                   nr.serviceRatePerMs.end());
@@ -568,11 +557,6 @@ mergeNodes(const ClusterConfig &cfg,
         m.totalLsUipc += nr.totalLsUipc;
         m.totalBatchUipc += nr.totalBatchUipc;
         m.effectiveBatchUipc += nr.effectiveBatchUipc;
-        for (std::size_t c = 0; c < nr.cores.size(); ++c) {
-            lsUipc.push_back(nr.cores[c].uipc[0]);
-            if (!cfg.nodes[j].cores[c].workload1.empty())
-                batchUipc.push_back(nr.cores[c].uipc[1]);
-        }
         m.dispatch.placed.insert(m.dispatch.placed.end(),
                                  nr.dispatch.placed.begin(),
                                  nr.dispatch.placed.end());
@@ -582,65 +566,32 @@ mergeNodes(const ClusterConfig &cfg,
         m.dispatch.modeStats.insert(m.dispatch.modeStats.end(),
                                     nr.dispatch.modeStats.begin(),
                                     nr.dispatch.modeStats.end());
-        m.dispatch.totalShed += nr.dispatch.totalShed;
         m.dispatch.elapsedMs =
             std::max(m.dispatch.elapsedMs, nr.dispatch.elapsedMs);
     }
-    m.lsUipc = stats::summarize(lsUipc);
-    m.batchUipc = stats::summarize(batchUipc);
-
-    // Fleet-of-fleets latency tail: exact recorder merge (associative
-    // histogram adds in streaming mode, sample pooling in exact mode).
-    stats::TailRecorder fleetTail(exact);
-    for (const sim::FleetResult &nr : nodes)
-        if (nr.dispatch.latencyRecorder.count() > 0)
-            fleetTail.merge(nr.dispatch.latencyRecorder);
-    m.dispatch.latencyMs = fleetTail.summarize();
-    m.dispatch.throughputRps =
-        m.dispatch.elapsedMs > 0.0
-            ? static_cast<double>(fleetTail.count()) /
-                  (m.dispatch.elapsedMs / 1000.0)
-            : 0.0;
+    sim::summarizeUipcSpread(m, coreCfgs);
     m.dispatch.offeredRatePerMs = rate_per_ms;
 
-    // Per-class outcomes: counts sum, tails merge, attainment re-derives
-    // from the summed sloGood numerator (bit-exact, not averaged).
-    if (!cfg.classes.empty()) {
-        const std::size_t k = cfg.classes.size();
-        m.dispatch.perClass.resize(k);
-        std::vector<stats::TailRecorder> classTails(
-            k, stats::TailRecorder(exact));
-        for (const sim::FleetResult &nr : nodes) {
-            if (nr.dispatch.perClass.size() != k)
-                continue; // node saw zero requests
-            for (std::size_t c = 0; c < k; ++c) {
-                const sim::ClassOutcome &in = nr.dispatch.perClass[c];
-                sim::ClassOutcome &out = m.dispatch.perClass[c];
-                out.completed += in.completed;
-                out.shed += in.shed;
-                out.sloGood += in.sloGood;
-                if (c < nr.dispatch.classRecorders.size() &&
-                    nr.dispatch.classRecorders[c].count() > 0)
-                    classTails[c].merge(nr.dispatch.classRecorders[c]);
-            }
-        }
+    // Tails merge exactly (associative histogram adds in streaming mode,
+    // sample pooling in exact mode); per-class counts sum, so attainment
+    // re-derives from the summed sloGood numerator, not an average.
+    sim::DispatchOutcome &d = m.dispatch;
+    d.latencyRecorder = recorderProto;
+    for (const sim::FleetResult &nr : nodes)
+        if (nr.dispatch.latencyRecorder.count() > 0)
+            d.latencyRecorder.merge(nr.dispatch.latencyRecorder);
+
+    const std::size_t k = cfg.classes.size();
+    d.perClass.resize(k);
+    d.classRecorders.assign(k, recorderProto);
+    for (const sim::FleetResult &nr : nodes) {
+        if (nr.dispatch.perClass.size() != k)
+            continue; // node saw zero requests
         for (std::size_t c = 0; c < k; ++c) {
-            const workloads::ServiceClass &sc =
-                cfg.classes.at(static_cast<workloads::ClassId>(c));
-            sim::ClassOutcome &out = m.dispatch.perClass[c];
-            out.name = sc.name;
-            out.sloTargetMs = sc.sloMs;
-            out.tailPercentile = sc.tailPercentile;
-            out.latencyMs = classTails[c].summarize();
-            out.tailMs = classTails[c].count() > 0
-                             ? classTails[c].percentile(sc.tailPercentile)
-                             : 0.0;
-            const std::uint64_t offered = out.completed + out.shed;
-            out.sloAttainment =
-                offered > 0 ? static_cast<double>(out.sloGood) /
-                                  static_cast<double>(offered)
-                            : 0.0;
-            m.dispatch.classRecorders.push_back(std::move(classTails[c]));
+            d.perClass[c].shed += nr.dispatch.perClass[c].shed;
+            d.perClass[c].sloGood += nr.dispatch.perClass[c].sloGood;
+            if (nr.dispatch.classRecorders[c].count() > 0)
+                d.classRecorders[c].merge(nr.dispatch.classRecorders[c]);
         }
     }
 
@@ -648,34 +599,24 @@ mergeNodes(const ClusterConfig &cfg,
     // bucket width, same time origin), so bucket b merges across nodes.
     // Per-class timeline cells are not merged (rack QoS assertions bind
     // at the fleet tail and per-class attainment instead).
-    if (cfg.timelineBucketMs > 0.0) {
-        std::size_t buckets = 0;
-        for (const sim::FleetResult &nr : nodes)
-            buckets = std::max(buckets, nr.dispatch.timeline.size());
-        for (std::size_t b = 0; b < buckets; ++b) {
-            sim::TimelineBucket tb;
-            tb.startMs = static_cast<double>(b) * cfg.timelineBucketMs;
-            stats::TailRecorder bucketTail(exact);
-            for (const sim::FleetResult &nr : nodes) {
-                if (b >= nr.dispatch.timeline.size())
-                    continue;
-                tb.throttledCoreMs +=
-                    nr.dispatch.timeline[b].throttledCoreMs;
-                if (b < nr.dispatch.timelineRecorders.size() &&
-                    nr.dispatch.timelineRecorders[b].count() > 0)
-                    bucketTail.merge(nr.dispatch.timelineRecorders[b]);
-            }
-            tb.completions = bucketTail.count();
-            if (tb.completions > 0) {
-                tb.p50Ms = bucketTail.percentile(50.0);
-                tb.p99Ms = bucketTail.percentile(99.0);
-            }
-            m.dispatch.timelineRecorders.push_back(std::move(bucketTail));
-            m.dispatch.timeline.push_back(std::move(tb));
+    std::size_t buckets = 0;
+    for (const sim::FleetResult &nr : nodes)
+        buckets = std::max(buckets, nr.dispatch.timeline.size());
+    d.timeline.resize(buckets);
+    d.timelineRecorders.assign(buckets, recorderProto);
+    for (std::size_t b = 0; b < buckets; ++b) {
+        d.timeline[b].startMs = static_cast<double>(b) * cfg.timelineBucketMs;
+        for (const sim::FleetResult &nr : nodes) {
+            if (b >= nr.dispatch.timeline.size())
+                continue;
+            d.timeline[b].throttledCoreMs +=
+                nr.dispatch.timeline[b].throttledCoreMs;
+            if (nr.dispatch.timelineRecorders[b].count() > 0)
+                d.timelineRecorders[b].merge(nr.dispatch.timelineRecorders[b]);
         }
     }
 
-    m.dispatch.latencyRecorder = std::move(fleetTail);
+    sim::summarizeOutcome(d, cfg.classes);
     return m;
 }
 

@@ -13,8 +13,9 @@
  *     one node), yielding per-node aggregate service capacity in
  *     requests/ms.
  *  2. **Ingress steering (serial).** One cluster-wide arrival stream is
- *     synthesized exactly the way the dispatcher would (same arrival
- *     processes, per-class superposition, unit-mean demand draws), and
+ *     drawn from `sim::RequestSource`, the fleet dispatcher's own
+ *     source of gaps, class tags and unit-mean demands (over the
+ *     ingress's own RNG streams; action boundaries split the gaps), and
  *     each request is steered to a node by the configured
  *     `IngressPolicy`. The ingress models every node as a fluid FCFS
  *     queue draining at its measured capacity and steers on *stale*
@@ -35,11 +36,13 @@
  *     derive from (cluster seed, node stream, node index).
  *
  * Results merge into a `ClusterResult`: per-node `sim::FleetResult`s
- * plus a synthesized cluster-level view whose latency tails come from
- * exact `stats::TailRecorder` merges (associative histogram adds in
- * streaming mode, sample pooling in exact mode), per-class SLO
- * attainment re-derived from summed counts, and ingress metrics
- * (steering decisions, migrations, failovers, signal staleness).
+ * plus a synthesized cluster-level view, and ingress metrics (steering
+ * decisions, migrations, failovers, signal staleness). The merge only
+ * merges the nodes' `stats::TailRecorder`s (associative histogram adds
+ * in streaming mode, sample pooling in exact mode) and sums their
+ * counts; `sim::summarizeOutcome`, the dispatcher's own summarizer,
+ * derives the tails, per-class SLO attainment and timeline percentiles
+ * from those, so a one-node rack reports exactly what its node does.
  *
  * The fluid ingress model is an *approximation used only for steering
  * signals* — real latencies always come from the per-node discrete-

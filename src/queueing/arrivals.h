@@ -219,8 +219,8 @@ class ArrivalProcess
      * Draw @p n consecutive gaps into @p out — the exact sequence @p n
      * calls to next() would produce (same RNG consumption, bit-identical
      * values), but with the variant dispatch paid once per batch instead
-     * of once per arrival. Hot-loop callers (the fleet dispatcher) refill
-     * a small ring from this.
+     * of once per arrival. `sim::RequestSource`, which feeds the fleet
+     * dispatcher and the rack ingress, refills a small ring from this.
      */
     void
     fill(Rng &rng, double *out, std::size_t n)

@@ -353,20 +353,25 @@ incidentErrors(const Scenario &s)
     return errors;
 }
 
+void
+requireValidIncidents(const Scenario &s)
+{
+    std::string joined;
+    for (const std::string &e : incidentErrors(s)) {
+        if (!joined.empty())
+            joined += "; ";
+        joined += e;
+    }
+    if (!joined.empty()) {
+        STRETCH_FATAL("invalid incidents in ", s.nodes > 1 ? "rack " : "",
+                      "scenario '", s.name, "': ", joined);
+    }
+}
+
 std::vector<sim::IncidentAction>
 compileIncidents(const Scenario &s)
 {
-    std::vector<std::string> errors = incidentErrors(s);
-    if (!errors.empty()) {
-        std::string joined;
-        for (const std::string &e : errors) {
-            if (!joined.empty())
-                joined += "; ";
-            joined += e;
-        }
-        STRETCH_FATAL("invalid incidents in scenario '", s.name, "': ",
-                      joined);
-    }
+    requireValidIncidents(s);
 
     using Kind = sim::IncidentAction::Kind;
     std::vector<sim::IncidentAction> actions;

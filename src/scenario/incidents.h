@@ -190,6 +190,10 @@ std::vector<sim::IncidentAction> compileIncidents(const Scenario &s);
  *  the builder-facing twin of `compileIncidents`'s fatal checks. */
 std::vector<std::string> incidentErrors(const Scenario &s);
 
+/** Fatal when @p s has an invalid incident: the message names the
+ *  scenario and lists every `incidentErrors` message. */
+void requireValidIncidents(const Scenario &s);
+
 /**
  * One declarative QoS bound evaluated against a finished run's
  * timeline and per-class reporting. Build via the factory helpers

@@ -91,7 +91,6 @@ calibrate(const Scenario &s)
     probe.requests = s.calibrationRequests;
     probe.opsPerRequest = s.opsPerRequest;
     probe.seed = s.seed;
-    probe.reuseOperatingPoints = s.reuseOperatingPoints;
     probe.threads = s.threads;
     Calibration cal;
     try {
@@ -410,13 +409,6 @@ ScenarioBuilder::threads(unsigned n)
 }
 
 ScenarioBuilder &
-ScenarioBuilder::reuseOperatingPoints(bool on)
-{
-    draft.reuseOperatingPoints = on;
-    return *this;
-}
-
-ScenarioBuilder &
 ScenarioBuilder::calibrationRequests(std::uint64_t n)
 {
     draft.calibrationRequests = n;
@@ -678,7 +670,6 @@ lowerQuiet(const Scenario &s)
     fleet.seed = s.seed;
     fleet.classRouting = s.classRouting;
     fleet.modeControl = s.control;
-    fleet.reuseOperatingPoints = s.reuseOperatingPoints;
     fleet.threads = s.threads;
 
     if (!s.needsCalibration()) {
@@ -758,17 +749,7 @@ namespace
 std::vector<cluster::NodeAction>
 compileRackActions(const Scenario &s)
 {
-    std::vector<std::string> errors = incidentErrors(s);
-    if (!errors.empty()) {
-        std::string joined;
-        for (const std::string &e : errors) {
-            if (!joined.empty())
-                joined += "; ";
-            joined += e;
-        }
-        STRETCH_FATAL("invalid incidents in rack scenario '", s.name,
-                      "': ", joined);
-    }
+    requireValidIncidents(s);
 
     using Kind = cluster::NodeAction::Kind;
     std::vector<cluster::NodeAction> actions;

@@ -137,7 +137,6 @@ struct Scenario : sim::TrafficSpec
     double opsPerRequest = 500000.0; ///< LS request length (instructions)
     std::uint64_t seed = 42;
     unsigned threads = 0; ///< pool workers (0 = hardware)
-    bool reuseOperatingPoints = true;
     /** Stream length of the calibration probe (when one is needed). */
     std::uint64_t calibrationRequests = 6000;
     /// @}
@@ -270,7 +269,6 @@ class ScenarioBuilder
      *  cores(n, base) call (which otherwise adopts base.seed). */
     ScenarioBuilder &seed(std::uint64_t s);
     ScenarioBuilder &threads(unsigned n);
-    ScenarioBuilder &reuseOperatingPoints(bool on);
     ScenarioBuilder &calibrationRequests(std::uint64_t n);
     /// @}
 

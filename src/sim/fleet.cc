@@ -1,7 +1,6 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -214,6 +213,69 @@ heterogeneousFleet(const RunConfig &base, std::vector<CoreSlot> slots)
     return fleet;
 }
 
+void
+summarizeOutcome(DispatchOutcome &out,
+                 const workloads::ServiceClassRegistry &classes)
+{
+    const stats::TailRecorder &all = out.latencyRecorder;
+    out.latencyMs = all.summarize();
+    out.throughputRps = out.elapsedMs > 0.0
+                            ? static_cast<double>(all.count()) /
+                                  (out.elapsedMs / 1000.0)
+                            : 0.0;
+
+    // Per-class reporting: latency distribution, tail at the class's own
+    // percentile, and SLO attainment over offered (completed + shed)
+    // requests — shedding counts as a miss.
+    STRETCH_ASSERT(out.classRecorders.size() == out.perClass.size(),
+                   "one latency recorder per class outcome");
+    out.totalShed = 0;
+    for (std::size_t k = 0; k < out.perClass.size(); ++k) {
+        const workloads::ServiceClass &sc =
+            classes.at(static_cast<workloads::ClassId>(k));
+        const stats::TailRecorder &rec = out.classRecorders[k];
+        ClassOutcome &co = out.perClass[k];
+        co.name = sc.name;
+        co.completed = rec.count();
+        co.sloTargetMs = sc.sloMs;
+        co.tailPercentile = sc.tailPercentile;
+        co.latencyMs = rec.summarize();
+        co.tailMs = rec.count() > 0 ? rec.percentile(sc.tailPercentile) : 0.0;
+        const std::uint64_t offered = co.completed + co.shed;
+        co.sloAttainment = offered > 0 ? static_cast<double>(co.sloGood) /
+                                             static_cast<double>(offered)
+                                       : 0.0;
+        out.totalShed += co.shed;
+    }
+
+    STRETCH_ASSERT(out.timelineRecorders.size() == out.timeline.size(),
+                   "one latency recorder per timeline bucket");
+    for (std::size_t b = 0; b < out.timeline.size(); ++b) {
+        const stats::TailRecorder &rec = out.timelineRecorders[b];
+        TimelineBucket &tb = out.timeline[b];
+        tb.completions = rec.count();
+        if (tb.completions > 0) {
+            tb.p50Ms = rec.percentile(50.0);
+            tb.p99Ms = rec.percentile(99.0);
+        }
+    }
+}
+
+void
+summarizeUipcSpread(FleetResult &fleet, const std::vector<RunConfig> &cores)
+{
+    STRETCH_ASSERT(cores.size() == fleet.cores.size(),
+                   "one config per measured core");
+    std::vector<double> ls, batch;
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+        ls.push_back(fleet.cores[i].uipc[0]);
+        if (!cores[i].workload1.empty())
+            batch.push_back(fleet.cores[i].uipc[1]);
+    }
+    fleet.lsUipc = stats::summarize(ls);
+    fleet.batchUipc = stats::summarize(batch);
+}
+
 DispatchOutcome
 dispatchRequests(const DispatchConfig &cfg)
 {
@@ -361,20 +423,17 @@ dispatchRequests(const DispatchConfig &cfg)
     if (requests == 0)
         return out;
 
-    Rng arrivalsRng(cfg.seed, arrivalStream);
-    Rng demandsRng(cfg.seed, demandStream);
     Rng placementRng(cfg.seed, placementStream);
-    Rng classRng(cfg.seed, classStream);
-    // Arrival source: one fleet-wide stream (weighted class tagging), or
-    // — under perClassArrivals — one independent stream per class,
-    // superposed by next-arrival competition.
-    ArrivalStream arrivals = makeArrivalStream(cfg, out.offeredRatePerMs,
-                                               cfg.seed, arrivalStream);
-    // Unit-mean demand in "mean-request units": the serving core's rate
-    // converts it to milliseconds, so a fast core finishes the same
-    // request sooner.
-    const double demandMu =
-        -cfg.demandLogSigma * cfg.demandLogSigma / 2.0;
+    // The offered stream. Demands are in unit-mean "mean-request units":
+    // the serving core's rate converts them to milliseconds, so a fast
+    // core finishes the same request sooner. Class weights and demand
+    // laws never change mid-run (SLO retargets touch neither), so the
+    // source reads the config's registry.
+    RequestSource source(cfg, out.offeredRatePerMs,
+                         Rng(cfg.seed, arrivalStream),
+                         Rng(cfg.seed, classStream),
+                         Rng(cfg.seed, demandStream), cfg.seed,
+                         arrivalStream);
 
     // Controllers exist only under dynamic policies; Static runs carry no
     // machine state, just the residency clock.
@@ -437,59 +496,46 @@ dispatchRequests(const DispatchConfig &cfg)
     const stats::TailRecorder recorderProto(exact);
 
     // Completion-timeline buckets (sized lazily as the run extends).
+    // The run records straight into the outcome: its recorders, the
+    // per-bucket throttle time and per-class shed counts; only the
+    // per-bucket per-class recorders stay local.
     const bool timelineOn = cfg.timelineBucketMs > 0.0;
     const std::size_t numClasses = cfg.classes.size();
-    std::vector<stats::TailRecorder> bucketLatencies;
-    std::vector<double> bucketThrottleMs;
-    // Per-bucket per-class slices (class-tagged dispatch only).
+    std::vector<stats::TailRecorder> &bucketLatencies = out.timelineRecorders;
     std::vector<std::vector<stats::TailRecorder>> bucketClassLatencies;
-    std::vector<std::vector<std::uint64_t>> bucketClassShed;
+    TimelineBucket bucketProto;
+    bucketProto.perClass.resize(numClasses);
     auto bucketAt = [&](double t) -> std::size_t {
         auto b = static_cast<std::size_t>(t / cfg.timelineBucketMs);
         if (bucketLatencies.size() <= b) {
             bucketLatencies.resize(b + 1, recorderProto);
-            bucketThrottleMs.resize(b + 1, 0.0);
+            out.timeline.resize(b + 1, bucketProto);
             if (classesOn) {
                 bucketClassLatencies.resize(
                     b + 1, std::vector<stats::TailRecorder>(numClasses,
                                                             recorderProto));
-                bucketClassShed.resize(
-                    b + 1, std::vector<std::uint64_t>(numClasses, 0));
             }
         }
         return b;
     };
 
-    // Per-class accounting: completed sojourns, SLO hits, shed counts.
-    std::vector<stats::TailRecorder> classLatencies(numClasses,
-                                                    recorderProto);
-    std::vector<std::uint64_t> classGood(numClasses, 0);
-    std::vector<std::uint64_t> classShed(numClasses, 0);
+    // Per-class accounting: completed sojourns into the class recorders,
+    // SLO hits and shed counts into the class outcomes.
+    out.classRecorders.assign(numClasses, recorderProto);
+    std::vector<stats::TailRecorder> &classLatencies = out.classRecorders;
+    out.perClass.resize(numClasses);
 
     queueing::EventEngine engine(n);
-    stats::TailRecorder latencies(exact);
+    out.latencyRecorder = recorderProto;
+    stats::TailRecorder &latencies = out.latencyRecorder;
     latencies.reserve(requests);
     std::size_t rr_next = 0; // round-robin cursor over serving cores
 
-    // Gap draws are batched: arrivalsRng feeds nothing but interarrival
-    // gaps, so drawing a block ahead through ArrivalProcess::fill leaves
-    // every realized gap bit-identical while paying the variant dispatch
-    // once per block instead of once per arrival.
-    std::array<double, 256> gapBlock;
-    std::size_t gapNext = gapBlock.size();
-
-    // Demand draws are batched the same way when the stream allows it:
-    // with no class registry, demandsRng feeds one fixed distribution
-    // and nothing else, and every draw consumes a fixed number of
-    // uniforms — so prefetching a block through Rng::fill* leaves every
-    // realized demand bit-identical. Class-tagged runs draw per arrival
-    // (the distribution depends on the class tag).
-    std::array<double, 256> demandBlock;
-    std::size_t demandNext = demandBlock.size();
-
-    // Injected-replay cursor: the engine asks for the arrival and then
-    // immediately for that same request's demand, so one cursor serves
-    // both hooks (demandFn reads the record arrivalFn just consumed).
+    // The engine asks for the arrival and then immediately for that same
+    // request's demand, so arrivalFn draws the whole request and
+    // demandFn hands back its demand. Under injected replay one cursor
+    // serves both hooks the same way.
+    double drawnDemand = 0.0;
     std::size_t injectedNext = 0;
     double injectedPrevMs = 0.0;
 
@@ -506,18 +552,10 @@ dispatchRequests(const DispatchConfig &cfg)
             a.classId = ia.classId;
             return a;
         }
-        if (perClassArr) {
-            // Superposed per-class streams fix the gap and tag jointly.
-            a = arrivals.perClass->next();
-        } else {
-            if (gapNext == gapBlock.size()) {
-                arrivals.shared->fill(arrivalsRng, gapBlock.data(),
-                                      gapBlock.size());
-                gapNext = 0;
-            }
-            a.gapMs = gapBlock[gapNext++];
-            a.classId = classesOn ? classesLive.sample(classRng) : 0;
-        }
+        const OfferedRequest r = source.next();
+        a.gapMs = r.gapMs;
+        a.classId = r.classId;
+        drawnDemand = r.demand;
         // Incident traffic scaling happens at consumption, not at the
         // draw, and only off the neutral scale — so the realized gap
         // stream is bit-identical whenever no incident is in force.
@@ -525,23 +563,24 @@ dispatchRequests(const DispatchConfig &cfg)
             a.gapMs /= arrivalScale;
         return a;
     };
-    auto demandFn = [&](std::uint32_t cls) {
-        if (injectedOn)
-            return (*cfg.injected)[injectedNext - 1].demand;
-        if (classesOn)
-            return classesLive.drawDemand(cls, demandsRng);
-        if (demandNext == demandBlock.size()) {
-            if (cfg.demandLogSigma > 0.0) {
-                demandsRng.fillLognormal(demandMu, cfg.demandLogSigma,
-                                         demandBlock.data(),
-                                         demandBlock.size());
-            } else {
-                demandsRng.fillExponential(1.0, demandBlock.data(),
-                                           demandBlock.size());
+    auto demandFn = [&](std::uint32_t) {
+        return injectedOn ? (*cfg.injected)[injectedNext - 1].demand
+                          : drawnDemand;
+    };
+    // Predicted sojourn of THIS request on each serving core: queue wait
+    // plus its own service time at the core's current speed; the least
+    // wins, ties to the first serving core.
+    auto leastPredictedSojourn = [&](double now, double demand) {
+        std::size_t target = n;
+        double best = std::numeric_limits<double>::infinity();
+        for (std::size_t c : servingIdx) {
+            double predicted = engine.backlogMs(c, now) + demand / rate[c];
+            if (predicted < best) {
+                best = predicted;
+                target = c;
             }
-            demandNext = 0;
         }
-        return demandBlock[demandNext++];
+        return target;
     };
     auto placeFn = [&](double now, double demand,
                        std::uint32_t cls) -> std::size_t {
@@ -582,21 +621,8 @@ dispatchRequests(const DispatchConfig &cfg)
                        ? cb2
                        : ca;
         }
-        case PlacementPolicy::QosAware: {
-            // Predicted sojourn time of THIS request on each core: queue
-            // wait plus its own service time at the core's current speed.
-            std::size_t target = n;
-            double best = std::numeric_limits<double>::infinity();
-            for (std::size_t c : servingIdx) {
-                double predicted =
-                    engine.backlogMs(c, now) + demand / rate[c];
-                if (predicted < best) {
-                    best = predicted;
-                    target = c;
-                }
-            }
-            return target;
-        }
+        case PlacementPolicy::QosAware:
+            return leastPredictedSojourn(now, demand);
         case PlacementPolicy::ClassAware: {
             // Hot-class pinning, hour-aware reservation, and per-class
             // admission; may return EventEngine::shed.
@@ -608,26 +634,16 @@ dispatchRequests(const DispatchConfig &cfg)
             // failed core when every candidate in the class's tier is
             // gone; fall back to the live core with the best predicted
             // sojourn (only reachable under a CoreFail incident).
-            std::size_t best = n;
-            double bestPred = std::numeric_limits<double>::infinity();
-            for (std::size_t c : servingIdx) {
-                double predicted =
-                    engine.backlogMs(c, now) + demand / rate[c];
-                if (predicted < bestPred) {
-                    bestPred = predicted;
-                    best = c;
-                }
-            }
-            return best;
+            return leastPredictedSojourn(now, demand);
         }
         }
         return n; // unreachable; engine asserts
     };
     auto shedFn = [&](std::uint64_t, double now, double,
                       std::uint32_t cls) {
-        ++classShed[cls];
+        ++out.perClass[cls].shed;
         if (timelineOn)
-            ++bucketClassShed[bucketAt(now)][cls];
+            ++out.timeline[bucketAt(now)].perClass[cls].shed;
     };
     auto finishFn = [&](std::size_t s, double start, double demand) {
         return start + demand / rate[s];
@@ -654,7 +670,7 @@ dispatchRequests(const DispatchConfig &cfg)
         if (classesOn) {
             classLatencies[c.classId].record(e2eMs);
             if (e2eMs <= classesLive.at(c.classId).sloMs)
-                ++classGood[c.classId];
+                ++out.perClass[c.classId].sloGood;
         }
         if (timelineOn) {
             std::size_t b = bucketAt(c.finishMs);
@@ -782,7 +798,7 @@ dispatchRequests(const DispatchConfig &cfg)
             rate[c] = effectiveRate(c);
         }
         if (timelineOn && throttledNow > 0) {
-            bucketThrottleMs[bucketAt(t)] +=
+            out.timeline[bucketAt(t)].throttledCoreMs +=
                 mc.quantumMs * static_cast<double>(throttledNow);
         }
     };
@@ -935,71 +951,23 @@ dispatchRequests(const DispatchConfig &cfg)
         out.busyMs[c] = engine.servers()[c].busyMs;
     }
 
-    if (timelineOn) {
-        out.timeline.reserve(bucketLatencies.size());
-        for (std::size_t b = 0; b < bucketLatencies.size(); ++b) {
-            TimelineBucket tb;
-            tb.startMs = static_cast<double>(b) * cfg.timelineBucketMs;
-            tb.completions = bucketLatencies[b].count();
-            if (bucketLatencies[b].count() > 0) {
-                tb.p50Ms = bucketLatencies[b].percentile(50.0);
-                tb.p99Ms = bucketLatencies[b].percentile(99.0);
-            }
-            if (cfg.trace) {
-                tb.loadFraction = cfg.trace->loadAt(
-                    (tb.startMs + 0.5 * cfg.timelineBucketMs) /
-                    cfg.msPerHour);
-            }
-            tb.throttledCoreMs = bucketThrottleMs[b];
-            if (classesOn) {
-                tb.perClass.resize(numClasses);
-                for (std::size_t k = 0; k < numClasses; ++k) {
-                    TimelineBucket::ClassCell &cell = tb.perClass[k];
-                    cell.completions = bucketClassLatencies[b][k].count();
-                    cell.shed = bucketClassShed[b][k];
-                    if (bucketClassLatencies[b][k].count() > 0) {
-                        cell.p99Ms =
-                            bucketClassLatencies[b][k].percentile(99.0);
-                    }
-                }
-            }
-            out.timeline.push_back(tb);
+    // Per-bucket facts the recorders do not carry; everything else is
+    // summarized from the recorders and counts.
+    for (std::size_t b = 0; b < out.timeline.size(); ++b) {
+        TimelineBucket &tb = out.timeline[b];
+        tb.startMs = static_cast<double>(b) * cfg.timelineBucketMs;
+        if (cfg.trace) {
+            tb.loadFraction = cfg.trace->loadAt(
+                (tb.startMs + 0.5 * cfg.timelineBucketMs) / cfg.msPerHour);
+        }
+        for (std::size_t k = 0; k < tb.perClass.size(); ++k) {
+            TimelineBucket::ClassCell &cell = tb.perClass[k];
+            cell.completions = bucketClassLatencies[b][k].count();
+            if (cell.completions > 0)
+                cell.p99Ms = bucketClassLatencies[b][k].percentile(99.0);
         }
     }
-
-    // Per-class reporting: latency distribution, tail at the class's own
-    // percentile, and SLO attainment over offered (completed + shed)
-    // requests — shedding counts as a miss.
-    if (classesOn) {
-        out.perClass.resize(numClasses);
-        for (std::size_t k = 0; k < numClasses; ++k) {
-            const workloads::ServiceClass &sc =
-                classesLive.at(static_cast<workloads::ClassId>(k));
-            ClassOutcome &co = out.perClass[k];
-            co.name = sc.name;
-            co.completed = classLatencies[k].count();
-            co.shed = classShed[k];
-            co.sloTargetMs = sc.sloMs;
-            co.tailPercentile = sc.tailPercentile;
-            co.latencyMs = classLatencies[k].summarize();
-            if (classLatencies[k].count() > 0)
-                co.tailMs = classLatencies[k].percentile(sc.tailPercentile);
-            std::uint64_t offered = co.completed + co.shed;
-            co.sloGood = classGood[k];
-            co.sloAttainment =
-                offered > 0 ? static_cast<double>(classGood[k]) /
-                                  static_cast<double>(offered)
-                            : 0.0;
-            out.totalShed += co.shed;
-        }
-    }
-
-    out.latencyMs = latencies.summarize();
-    out.throughputRps =
-        out.elapsedMs > 0.0
-            ? static_cast<double>(latencies.count()) /
-                  (out.elapsedMs / 1000.0)
-            : 0.0;
+    summarizeOutcome(out, classesLive);
 
     // End-of-run metric fill: everything below restates tallies the
     // dispatcher accumulated anyway, so an attached registry costs the
@@ -1062,17 +1030,11 @@ dispatchRequests(const DispatchConfig &cfg)
             const std::string prefix = "class." + co.name + ".";
             reg.counter(prefix + "completions") += co.completed;
             reg.counter(prefix + "sheds") += co.shed;
-            reg.counter(prefix + "slo_good") += classGood[k];
+            reg.counter(prefix + "slo_good") += co.sloGood;
             reg.gauge(prefix + "slo_attainment") = co.sloAttainment;
             classLatencies[k].mergeInto(reg.tail(prefix + "latency_ms"));
         }
     }
-
-    // Hand the raw recorders to the caller last — every summary and
-    // metric above has already been derived from them.
-    out.latencyRecorder = std::move(latencies);
-    out.classRecorders = std::move(classLatencies);
-    out.timelineRecorders = std::move(bucketLatencies);
     return out;
 }
 
@@ -1158,11 +1120,7 @@ runFleet(const FleetConfig &cfg)
     // dispatcher knows the capacity each control action buys. Repeat
     // measurements of identical configurations are answered from the
     // process-wide OperatingPointCache.
-    auto measure = [&](const RunConfig &rc) -> RunResult {
-        if (cfg.reuseOperatingPoints)
-            return OperatingPointCache::instance().measure(rc);
-        return run(rc);
-    };
+    OperatingPointCache &cache = OperatingPointCache::instance();
     std::vector<RunResult> pointResults;
     if (dynamic) {
         pointResults.resize(n * points);
@@ -1188,19 +1146,18 @@ runFleet(const FleetConfig &cfg)
                     rc.throttleRatio = mc.throttleFetchRatio;
                     rc.throttledThread = 1;
                 }
-                pointResults[task] = measure(rc);
+                pointResults[task] = cache.measure(rc);
             });
         for (std::size_t i = 0; i < n; ++i)
             fleet.cores[i] =
                 pointResults[i * points + modeIndex(StretchMode::Baseline)];
     } else {
         ThreadPool::parallelFor(cfg.threads, n, [&](std::size_t i) {
-            fleet.cores[i] = measure(slotConfig(i));
+            fleet.cores[i] = cache.measure(slotConfig(i));
         });
     }
 
     // Ordered reduction over cores (determinism: fixed iteration order).
-    std::vector<double> ls_uipc, batch_uipc;
     fleet.serviceRatePerMs.assign(n, 0.0);
     fleet.modeRates.assign(n, ModeRates{});
     fleet.batchPoints.assign(n, FleetResult::BatchOperatingPoints{});
@@ -1211,11 +1168,8 @@ runFleet(const FleetConfig &cfg)
     for (std::size_t i = 0; i < n; ++i) {
         const RunResult &r = fleet.cores[i];
         fleet.totalLsUipc += r.uipc[0];
-        ls_uipc.push_back(r.uipc[0]);
-        if (!cfg.cores[i].workload1.empty()) {
+        if (!cfg.cores[i].workload1.empty())
             fleet.totalBatchUipc += r.uipc[1];
-            batch_uipc.push_back(r.uipc[1]);
-        }
         // LS thread commit rate converted to request service rate.
         fleet.serviceRatePerMs[i] = uipcToRate(r.uipc[0]);
         if (dynamic) {
@@ -1241,8 +1195,7 @@ runFleet(const FleetConfig &cfg)
             fleet.batchPoints[i].throttled = r.uipc[1];
         }
     }
-    fleet.lsUipc = stats::summarize(ls_uipc);
-    fleet.batchUipc = stats::summarize(batch_uipc);
+    summarizeUipcSpread(fleet, cfg.cores);
 
     DispatchConfig dispatch;
     static_cast<TrafficSpec &>(dispatch) = cfg;

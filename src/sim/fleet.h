@@ -460,6 +460,19 @@ struct DispatchOutcome
 DispatchOutcome dispatchRequests(const DispatchConfig &cfg);
 
 /**
+ * Derive every summary of @p out from its recorders and counts: the
+ * latency summary and throughput (`latencyRecorder`, `elapsedMs`),
+ * `totalShed`, each class's name, SLO, completions, latency, tail and
+ * attainment (`classRecorders`, each outcome's `shed` and `sloGood`,
+ * judged against @p classes), and each timeline bucket's completions,
+ * p50 and p99 (`timelineRecorders`). `dispatchRequests` calls it on
+ * its own outcome; the cluster layer calls it on the merged rack view,
+ * so a node and a rack are judged by the same code.
+ */
+void summarizeOutcome(DispatchOutcome &out,
+                      const workloads::ServiceClassRegistry &classes);
+
+/**
  * Compatibility entry point: Poisson arrivals, exponential demands, and a
  * static Baseline mode on every core (rates are mode-independent).
  * Exposed separately from runFleet so placement policies are
@@ -523,15 +536,6 @@ struct FleetConfig : TrafficSpec
      * retime requests as the mode register flips.
      */
     ModeControlConfig modeControl;
-
-    /**
-     * Memoise operating-point measurements in the process-wide
-     * `OperatingPointCache`: a second runFleet over identical cores
-     * skips the microarchitectural re-simulation (results are
-     * bit-identical either way — `sim::run` is a pure function of its
-     * config). Disable to force fresh measurements.
-     */
-    bool reuseOperatingPoints = true;
 
     /** Pool workers for per-core simulations: 1 = serial, 0 = hardware. */
     unsigned threads = 0;
@@ -617,6 +621,14 @@ struct FleetResult
      */
     double effectiveBatchUipc = 0.0;
 };
+
+/**
+ * Set @p fleet's across-core UIPC spreads from its per-core results:
+ * the LS thread of every core, and the batch thread of every core whose
+ * config in @p cores (index-matched to `fleet.cores`) has a co-runner.
+ */
+void summarizeUipcSpread(FleetResult &fleet,
+                         const std::vector<RunConfig> &cores);
 
 /**
  * Run every core's simulation (on cfg.threads pool workers), then dispatch

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/rng.h"
 #include "util/seed_stream.h"
 
 namespace stretch::sim
@@ -41,18 +40,21 @@ offeredRatePerMs(const TrafficSpec &spec, double capacityPerMs)
     return 0.7 * capacityPerMs;
 }
 
-ArrivalStream
-makeArrivalStream(const TrafficSpec &spec, double ratePerMs,
-                  std::uint64_t seed, std::uint64_t streamTag)
+RequestSource::RequestSource(const TrafficSpec &spec, double ratePerMs,
+                             Rng arrivals, Rng tags, Rng demands,
+                             std::uint64_t seed, std::uint64_t streamTag)
+    : classes(spec.classes.empty() ? nullptr : &spec.classes),
+      demandLogSigma(spec.demandLogSigma),
+      demandMu(-spec.demandLogSigma * spec.demandLogSigma / 2.0),
+      arrivalRng(arrivals), tagRng(tags), demandRng(demands)
 {
-    ArrivalStream out;
     if (!spec.perClassArrivals) {
         workloads::ClassTraffic shape;
         shape.burstRatio = spec.burstRatio;
         shape.dwellLowMs = spec.dwellLowMs;
         shape.dwellHighMs = spec.dwellHighMs;
-        out.shared = arrivalProcess(spec, shape, ratePerMs);
-        return out;
+        shared = arrivalProcess(spec, shape, ratePerMs);
+        return;
     }
 
     // One independent stream per class, its RNG derived from (seed,
@@ -67,8 +69,7 @@ makeArrivalStream(const TrafficSpec &spec, double ratePerMs,
         streams.push_back({arrivalProcess(spec, shape, shares[k] * ratePerMs),
                            Rng(util::deriveSeed(seed, streamTag, k))});
     }
-    out.perClass.emplace(std::move(streams));
-    return out;
+    perClass.emplace(std::move(streams));
 }
 
 } // namespace stretch::sim

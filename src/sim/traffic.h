@@ -15,9 +15,12 @@
  *
  * Two rules that used to be written once per level live here too: the
  * default offered rate (`offeredRatePerMs`) and the choice of arrival
- * process (`makeArrivalStream`). Callers keep their own RNG stream tags
- * and draw loops, so a fleet and a rack node built from the same spec
- * draw the same kind of traffic.
+ * process. The draw loop lives here as well: `RequestSource` turns a
+ * spec into gaps, class tags and unit-mean demands, and both the fleet
+ * dispatcher and the rack ingress draw from it. Callers keep only their
+ * RNG seeds and stream tags and their own arrival scaling, so a fleet
+ * and a rack node built from the same spec draw the same kind of
+ * traffic by construction.
  *
  * Units: rates are requests per millisecond, times are milliseconds of
  * simulated time.
@@ -26,11 +29,14 @@
 #ifndef STRETCH_SIM_TRAFFIC_H
 #define STRETCH_SIM_TRAFFIC_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
 #include "queueing/arrivals.h"
 #include "queueing/diurnal.h"
+#include "util/rng.h"
 #include "workload/service_class.h"
 
 namespace stretch::sim
@@ -120,30 +126,94 @@ struct TrafficSpec
  */
 double offeredRatePerMs(const TrafficSpec &spec, double capacityPerMs);
 
-/**
- * An arrival source as built by `makeArrivalStream`: exactly one member
- * is engaged. `shared` draws gaps from an RNG the caller owns (class tags,
- * if any, are the caller's weighted draws); `perClass` owns one RNG per
- * class and yields gap and class id jointly.
- */
-struct ArrivalStream
+/** One request as the offered stream draws it. */
+struct OfferedRequest
 {
-    std::optional<queueing::ArrivalProcess> shared;
-    std::optional<queueing::ClassArrivalSuperposition> perClass;
+    double gapMs = 0.0;        ///< unscaled gap since the previous arrival
+    std::uint32_t classId = 0; ///< class tag (0 without classes)
+    double demand = 0.0;       ///< unit-mean service demand
 };
 
 /**
- * Build the arrival source @p spec describes at @p ratePerMs.
+ * The offered request stream of a `TrafficSpec` at a given rate: each
+ * `next()` draws one arrival gap, its class tag and its unit-mean
+ * demand.
  *
- * With `perClassArrivals` every class k gets its share of the rate and
- * an `Rng(deriveSeed(seed, streamTag, k))`: diurnal replay at the
- * class's phase offset under a trace, else MMPP-2 when the class is
- * bursty, else Poisson. Otherwise one shared process: diurnal under a
- * trace (@p ratePerMs is the peak), MMPP-2 when `burstRatio > 1`, else
- * Poisson; @p seed and @p streamTag are then unused.
+ * Arrivals: with `perClassArrivals` every class k gets its share of the
+ * rate and an `Rng(deriveSeed(seed, streamTag, k))`: diurnal replay at
+ * the class's phase offset under a trace, else MMPP-2 when the class is
+ * bursty, else Poisson; the superposition fixes gap and tag jointly.
+ * Otherwise one shared process drawn from the `arrivals` RNG (diurnal
+ * under a trace, where the rate is the peak; MMPP-2 when
+ * `burstRatio > 1`; else Poisson), with tags drawn from `tags` by class
+ * weight; @p seed and @p streamTag are then unused. Demands come from
+ * the class's own law, or without classes from a unit-mean exponential
+ * (lognormal when `demandLogSigma > 0`), drawn from `demands`.
+ *
+ * The three RNGs feed nothing else, so gaps and classless demands are
+ * drawn 256 ahead (`ArrivalProcess::fill`, `Rng::fill*`): every value is
+ * bit-identical to the one-at-a-time draw, at one dispatch per block.
+ * @p spec must outlive the source.
  */
-ArrivalStream makeArrivalStream(const TrafficSpec &spec, double ratePerMs,
-                                std::uint64_t seed, std::uint64_t streamTag);
+class RequestSource
+{
+  public:
+    RequestSource(const TrafficSpec &spec, double ratePerMs, Rng arrivals,
+                  Rng tags, Rng demands, std::uint64_t seed,
+                  std::uint64_t streamTag);
+
+    /** Draw the next request. */
+    OfferedRequest
+    next()
+    {
+        OfferedRequest r;
+        if (perClass) {
+            const queueing::EventEngine::Arrival a = perClass->next();
+            r.gapMs = a.gapMs;
+            r.classId = a.classId;
+        } else {
+            if (gapNext == gapBlock.size()) {
+                shared->fill(arrivalRng, gapBlock.data(), gapBlock.size());
+                gapNext = 0;
+            }
+            r.gapMs = gapBlock[gapNext++];
+            if (classes)
+                r.classId = classes->sample(tagRng);
+        }
+        if (classes) {
+            r.demand = classes->drawDemand(r.classId, demandRng);
+            return r;
+        }
+        if (demandNext == demandBlock.size()) {
+            if (demandLogSigma > 0.0) {
+                demandRng.fillLognormal(demandMu, demandLogSigma,
+                                        demandBlock.data(),
+                                        demandBlock.size());
+            } else {
+                demandRng.fillExponential(1.0, demandBlock.data(),
+                                          demandBlock.size());
+            }
+            demandNext = 0;
+        }
+        r.demand = demandBlock[demandNext++];
+        return r;
+    }
+
+  private:
+    const workloads::ServiceClassRegistry *classes; ///< null = classless
+    double demandLogSigma;
+    double demandMu; ///< -sigma^2 / 2: unit-mean lognormal demands
+    /// Exactly one arrival source is engaged.
+    std::optional<queueing::ArrivalProcess> shared;
+    std::optional<queueing::ClassArrivalSuperposition> perClass;
+    Rng arrivalRng;
+    Rng tagRng;
+    Rng demandRng;
+    std::array<double, 256> gapBlock;
+    std::array<double, 256> demandBlock;
+    std::size_t gapNext = gapBlock.size();
+    std::size_t demandNext = demandBlock.size();
+};
 
 } // namespace stretch::sim
 

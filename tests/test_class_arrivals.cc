@@ -3,7 +3,8 @@
  * Per-class arrival-process tests: the superposition substrate (rate
  * split, determinism, per-class burstiness CV) and its dispatch-level
  * behaviour (diurnal phase shift visible in per-class timelines, the
- * trace-normalised default arrival rate).
+ * trace-normalised default arrival rate), and the request source's
+ * block draws against one-at-a-time draws.
  */
 
 #include <cmath>
@@ -13,6 +14,7 @@
 
 #include "queueing/arrivals.h"
 #include "sim/fleet.h"
+#include "sim/traffic.h"
 #include "workload/service_class.h"
 
 namespace stretch
@@ -151,6 +153,45 @@ twoClassConfig()
     b.name = "abroad";
     cfg.classes.add(b);
     return cfg;
+}
+
+TEST(RequestSource, BlockDrawsEqualOneAtATimeDraws)
+{
+    // The source draws gaps and classless demands 256 ahead; every value
+    // must equal the per-draw call on the same RNG, across block ends.
+    sim::TrafficSpec bursty;
+    bursty.burstRatio = 3.0;
+    bursty.demandLogSigma = 0.8;
+    sim::TrafficSpec tagged;
+    tagged.classes =
+        workloads::ServiceClassRegistry::searchAnalyticsPair(5.0, 50.0);
+
+    for (const sim::TrafficSpec *spec : {&bursty, &tagged}) {
+        const double rate = 2.0;
+        sim::RequestSource source(*spec, rate, Rng(1), Rng(2), Rng(3), 4, 5);
+        Rng gaps(1), tags(2), demands(3);
+        ArrivalProcess process =
+            spec->burstRatio > 1.0
+                ? ArrivalProcess::mmpp(rate, spec->burstRatio,
+                                       spec->dwellLowMs, spec->dwellHighMs)
+                : ArrivalProcess::poisson(rate);
+        const double sigma = spec->demandLogSigma;
+        for (int i = 0; i < 600; ++i) {
+            const sim::OfferedRequest got = source.next();
+            EXPECT_EQ(got.gapMs, process.next(gaps)) << "draw " << i;
+            if (spec->classes.empty()) {
+                EXPECT_EQ(got.classId, 0u);
+                EXPECT_EQ(got.demand,
+                          demands.lognormal(-sigma * sigma / 2.0, sigma))
+                    << "draw " << i;
+            } else {
+                const workloads::ClassId cls = spec->classes.sample(tags);
+                EXPECT_EQ(got.classId, cls);
+                EXPECT_EQ(got.demand, spec->classes.drawDemand(cls, demands))
+                    << "draw " << i;
+            }
+        }
+    }
 }
 
 TEST(PerClassDispatch, SixHourPhaseOffsetShiftsTheCompletionTimeline)

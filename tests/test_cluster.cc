@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -51,7 +52,8 @@ smallRack(unsigned nodes = 4)
 }
 
 void
-expectSameDispatch(const sim::DispatchOutcome &a, const sim::DispatchOutcome &b)
+expectSameDispatch(const sim::DispatchOutcome &a,
+                   const sim::DispatchOutcome &b)
 {
     EXPECT_EQ(a.latencyMs.count, b.latencyMs.count);
     EXPECT_EQ(a.latencyMs.mean, b.latencyMs.mean);
@@ -61,6 +63,22 @@ expectSameDispatch(const sim::DispatchOutcome &a, const sim::DispatchOutcome &b)
     EXPECT_EQ(a.placed, b.placed);
     EXPECT_EQ(a.totalShed, b.totalShed);
     EXPECT_EQ(a.throughputRps, b.throughputRps);
+}
+
+/** Every field of two latency summaries, bit for bit. */
+void
+expectSameSummary(const stats::ViolinSummary &a, const stats::ViolinSummary &b)
+{
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.q1, b.q1);
+    EXPECT_EQ(a.median, b.median);
+    EXPECT_EQ(a.q3, b.q3);
+    EXPECT_EQ(a.max, b.max);
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.p999, b.p999);
 }
 
 TEST(ClusterDeterminism, SerialAndParallelBitIdenticalAcrossSeeds)
@@ -101,7 +119,8 @@ TEST(ClusterDeterminism, ExactTailsBitIdenticalAcrossNodeMerge)
 
     cluster::ClusterResult a = cluster::runCluster(serial);
     cluster::ClusterResult b = cluster::runCluster(parallel);
-    EXPECT_EQ(a.merged.dispatch.latencyMs.p99, b.merged.dispatch.latencyMs.p99);
+    EXPECT_EQ(a.merged.dispatch.latencyMs.p99,
+              b.merged.dispatch.latencyMs.p99);
     EXPECT_EQ(a.merged.dispatch.latencyMs.p999,
               b.merged.dispatch.latencyMs.p999);
     EXPECT_EQ(a.merged.dispatch.latencyMs.median,
@@ -153,6 +172,64 @@ TEST(ClusterMerge, MergedCountsCoverTheWholeStream)
     for (const sim::FleetResult &n : r.nodes)
         nodeCompletions += n.dispatch.latencyMs.count;
     EXPECT_EQ(r.merged.dispatch.latencyMs.count, nodeCompletions);
+}
+
+TEST(ClusterMerge, OneNodeRackMergedViewEqualsItsNode)
+{
+    // The merged view is summarized by the same code as a node, so a
+    // rack of one node must report exactly what its node reports: the
+    // fleet tail, every class outcome and every timeline bucket.
+    for (bool exact : {false, true}) {
+        SCOPED_TRACE(exact ? "exact" : "streaming");
+        sim::FleetConfig node = smallNode();
+        node.classes =
+            workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
+        node.policy = sim::PlacementPolicy::ClassAware;
+        node.classRouting.shedFactor = 0.5; // shed analytics requests
+        node.modeControl.kind = sim::ModePolicyKind::SlackDriven;
+        node.timelineBucketMs = 50.0;
+        node.exactTailQuantiles = exact;
+        cluster::ClusterConfig cfg = cluster::homogeneousCluster(1, node);
+        cfg.burstRatio = 2.0;
+
+        const cluster::ClusterResult r = cluster::runCluster(cfg);
+        ASSERT_EQ(r.nodes.size(), 1u);
+        const sim::DispatchOutcome &m = r.merged.dispatch;
+        const sim::DispatchOutcome &n = r.nodes[0].dispatch;
+
+        EXPECT_GT(n.totalShed, 0u);
+        expectSameDispatch(m, n);
+        expectSameSummary(m.latencyMs, n.latencyMs);
+
+        ASSERT_EQ(m.perClass.size(), 2u);
+        ASSERT_EQ(n.perClass.size(), 2u);
+        for (std::size_t k = 0; k < 2; ++k) {
+            SCOPED_TRACE("class " + std::to_string(k));
+            const sim::ClassOutcome &a = m.perClass[k];
+            const sim::ClassOutcome &b = n.perClass[k];
+            EXPECT_GT(a.completed, 0u);
+            EXPECT_EQ(a.name, b.name);
+            EXPECT_EQ(a.completed, b.completed);
+            EXPECT_EQ(a.shed, b.shed);
+            expectSameSummary(a.latencyMs, b.latencyMs);
+            EXPECT_EQ(a.sloTargetMs, b.sloTargetMs);
+            EXPECT_EQ(a.tailPercentile, b.tailPercentile);
+            EXPECT_EQ(a.tailMs, b.tailMs);
+            EXPECT_EQ(a.sloAttainment, b.sloAttainment);
+            EXPECT_EQ(a.sloGood, b.sloGood);
+        }
+
+        ASSERT_GT(n.timeline.size(), 1u);
+        ASSERT_EQ(m.timeline.size(), n.timeline.size());
+        for (std::size_t b = 0; b < n.timeline.size(); ++b) {
+            SCOPED_TRACE("bucket " + std::to_string(b));
+            EXPECT_EQ(m.timeline[b].completions, n.timeline[b].completions);
+            EXPECT_EQ(m.timeline[b].p50Ms, n.timeline[b].p50Ms);
+            EXPECT_EQ(m.timeline[b].p99Ms, n.timeline[b].p99Ms);
+            EXPECT_EQ(m.timeline[b].throttledCoreMs,
+                      n.timeline[b].throttledCoreMs);
+        }
+    }
 }
 
 TEST(ClusterIngress, EveryPolicySteersTheFullStream)
@@ -326,7 +403,9 @@ TEST(RackValidation, ZeroNodesIsRejected)
 TEST(RackValidation, DiurnalReplayIsRejectedOnRacks)
 {
     scenario::BuildResult r =
-        rackBuilder().diurnal(queueing::DiurnalTrace::webSearchCluster(), 50.0).tryBuild();
+        rackBuilder()
+            .diurnal(queueing::DiurnalTrace::webSearchCluster(), 50.0)
+            .tryBuild();
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(anyErrorMentions(r, "diurnal")) << r.errorText();
 }

@@ -107,13 +107,11 @@ TEST(OperatingPointCache, RunFleetSkipsRemeasuringIdenticalSlots)
     }
     EXPECT_EQ(first.dispatch.latencyMs.p99, second.dispatch.latencyMs.p99);
 
-    // Opting out forces fresh measurements.
-    FleetConfig fresh = fleet;
-    fresh.reuseOperatingPoints = false;
-    std::uint64_t hits_before = cache.hits();
-    FleetResult third = runFleet(fresh);
-    EXPECT_EQ(cache.hits(), hits_before);
+    // A fresh measurement after clearing the cache is bit-identical too.
+    cache.clear();
+    FleetResult third = runFleet(fleet);
     EXPECT_EQ(cache.misses(), misses_after_first);
+    EXPECT_EQ(third.modeRates[0].baseline, first.modeRates[0].baseline);
     EXPECT_EQ(third.dispatch.latencyMs.p99, first.dispatch.latencyMs.p99);
 }
 
