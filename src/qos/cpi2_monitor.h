@@ -21,6 +21,22 @@
  * is an outlier escalates straight to throttling — the antagonist has
  * been identified, so the ladder skips the remaining tolerance windows.
  *
+ * The outlier verdict is defined by one exact computation: a Welford
+ * `stats::RunningStat` over the samples before the newest, in age order,
+ * and `newest > mean + 2 * stddev` in double precision. The dispatcher
+ * asks after every completion, so `recordCpi` decides in O(1) amortized
+ * time instead and still returns that exact verdict bit for bit. The
+ * history is a ring; running sums of the prior samples and of their
+ * squares carry a certified bound on their accumulated rounding error
+ * and are recomputed from the ring every `cpiHistory` pushes. From them
+ * the monitor brackets the threshold the Welford loop would compute,
+ * widened by both the sums' error and a forward error bound of the
+ * Welford loop itself (derived in cpi2_monitor.cc). A newest sample
+ * outside the bracket has the verdict the loop would give; one inside
+ * it runs the loop, as does any history holding a non-finite or huge
+ * sample. A pass over the drill catalog records ~460k samples and runs
+ * the loop 8 times.
+ *
  * Units and determinism: latencies, the QoS target, and reported tails
  * are all in the caller's latency unit (the fleet dispatcher feeds
  * milliseconds of request sojourn time); CPI samples are dimensionless
@@ -133,8 +149,9 @@ class Cpi2Monitor
      * throttle immediately instead of waiting out the tolerance count.
      */
     void recordCpi(double cpi);
-    /** True if the newest CPI sample is an outlier (mean + 2 sigma). */
-    bool cpiOutlier() const;
+    /** True if the newest CPI sample is an outlier: above mean + 2 sigma
+     *  of the (at least 7) samples before it. */
+    bool cpiOutlier() const { return outlier; }
     /// @}
 
     /** Number of windows whose tail violated the QoS target. */
@@ -158,7 +175,35 @@ class Cpi2Monitor
     std::uint64_t violations = 0;
     std::uint64_t throttleEngages = 0;
     std::uint64_t windowsEval = 0;
-    std::vector<double> cpiSamples;
+
+    /// @name CPI history: a ring of the last cfg.cpiHistory samples
+    /// (empty when cpiHistory < 8, which can never report an outlier).
+    /// @{
+    std::vector<double> cpiRing;
+    std::size_t cpiNext = 0;  ///< slot the next sample goes to
+    std::size_t cpiCount = 0; ///< samples held
+    /// @}
+
+    /// @name Sums over the prior samples (all but the newest) and
+    /// certified bounds on their accumulated rounding error.
+    /// @{
+    double priorSum = 0.0;
+    double priorSumErr = 0.0;
+    double priorSq = 0.0;
+    double priorSqErr = 0.0;
+    /** Prior samples kept out of the sums (non-finite or huge). */
+    std::size_t wildPrior = 0;
+    /** Pushes since the sums were last recomputed from the ring. */
+    std::size_t pushesSinceSync = 0;
+    /// @}
+
+    /** Verdict for the newest sample, computed once in recordCpi. */
+    bool outlier = false;
+
+    void accumulatePrior(double x, double sign);
+    void resyncPriorSums();
+    int boundedVerdict(double newest) const;
+    bool welfordVerdict() const;
 };
 
 } // namespace stretch

@@ -5,10 +5,16 @@
  * the CPI2-style monitor's decision ladder.
  */
 
+#include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
+#include <vector>
 
 #include "qos/cpi2_monitor.h"
 #include "qos/stretch_controller.h"
+#include "stats/summary.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace stretch
@@ -275,6 +281,141 @@ TEST(Monitor, EvaluateTailDirectFeed)
     Cpi2Monitor mon(monitorConfig());
     EXPECT_EQ(mon.evaluateTail(10.0).mode, StretchMode::BatchBoost);
     EXPECT_EQ(mon.evaluateTail(120.0).mode, StretchMode::QosBoost);
+}
+
+/**
+ * The CPI history and outlier check as first written: the last
+ * `history` samples in a vector that drops its front, and a Welford pass
+ * over all but the newest per query. The monitor must agree with it on
+ * every verdict.
+ */
+class ReferenceCpiHistory
+{
+  public:
+    explicit ReferenceCpiHistory(std::size_t history) : history(history) {}
+
+    void
+    recordCpi(double cpi)
+    {
+        samples.push_back(cpi);
+        if (samples.size() > history)
+            samples.erase(samples.begin());
+    }
+
+    bool
+    cpiOutlier() const
+    {
+        if (samples.size() < 8)
+            return false;
+        return samples.back() > threshold();
+    }
+
+    /** The threshold the next sample will be judged against: mean +
+     *  2 sigma of the samples that stay in the history beside it. */
+    double
+    nextThreshold() const
+    {
+        stats::RunningStat rs;
+        std::size_t first =
+            samples.size() >= history ? samples.size() + 1 - history : 0;
+        for (std::size_t i = first; i < samples.size(); ++i)
+            rs.add(samples[i]);
+        return rs.mean() + 2.0 * rs.stddev();
+    }
+
+  private:
+    double
+    threshold() const
+    {
+        stats::RunningStat rs;
+        for (std::size_t i = 0; i + 1 < samples.size(); ++i)
+            rs.add(samples[i]);
+        return rs.mean() + 2.0 * rs.stddev();
+    }
+
+    std::size_t history;
+    std::vector<double> samples;
+};
+
+/** One draw of a CPI-like sample stream family. */
+double
+drawCpi(int family, Rng &rng, double base)
+{
+    switch (family) {
+    case 0: // lognormal slowdowns; half the requests never queue
+        return rng.chance(0.5) ? 1.0 : std::exp(base * rng.gaussian());
+    case 1: // constant
+        return base;
+    case 2: // near-constant: a few ulps around the base
+        return base * (1.0 + 0x1p-52 * static_cast<double>(
+                                          rng.between(-3, 3)));
+    case 3: { // any sign, any exponent, subnormals, zeros, the odd NaN
+        if (rng.chance(0.002))
+            return std::numeric_limits<double>::quiet_NaN();
+        if (rng.chance(0.002))
+            return std::numeric_limits<double>::infinity();
+        if (rng.chance(0.01))
+            return 0.0;
+        double x = std::ldexp(1.0 + rng.uniform(),
+                              static_cast<int>(rng.between(-1074, 1023)));
+        return rng.chance(0.3) ? -x : x;
+    }
+    case 4: // a narrow exponent band of width 2^base
+        return std::ldexp(1.0 + rng.uniform(),
+                          static_cast<int>(rng.between(0, static_cast<
+                                                               std::int64_t>(
+                                                               base))));
+    default: // slowdowns with 1e6 spikes entering and leaving the window
+        return rng.chance(0.02) ? 1e6 : 1.0 + rng.exponential(base);
+    }
+}
+
+TEST(Monitor, CpiOutlierMatchesWelfordReference)
+{
+    Rng rng(20261019);
+    std::uint64_t steps = 0;
+    std::uint64_t outliers = 0;
+    while (steps < 1200000) {
+        const int family = static_cast<int>(rng.below(6));
+        const auto history = static_cast<std::size_t>(rng.between(1, 100));
+        // Short runs keep the fewer-than-8-samples start in play.
+        const auto length = static_cast<std::size_t>(
+            rng.chance(0.1) ? rng.between(1, 12) : rng.between(50, 3000));
+        const double base = family == 0   ? 0.1 + 1.5 * rng.uniform()
+                            : family == 4 ? static_cast<double>(
+                                                rng.between(0, 60))
+                            : family == 5 ? 0.05 + rng.uniform()
+                                          : std::ldexp(1.0 + rng.uniform(),
+                                                       static_cast<int>(
+                                                           rng.between(-60,
+                                                                       60)));
+        MonitorConfig cfg;
+        cfg.cpiHistory = history;
+        Cpi2Monitor mon(cfg);
+        ReferenceCpiHistory ref(history);
+        for (std::size_t i = 0; i < length; ++i, ++steps) {
+            double cpi = drawCpi(family, rng, base);
+            // Land some samples on the threshold the reference will
+            // compute, or one ulp either side of it.
+            if (rng.chance(0.2)) {
+                const double t = ref.nextThreshold();
+                const int side = static_cast<int>(rng.between(-1, 1));
+                cpi = side == 0 ? t
+                                : std::nextafter(
+                                      t, side * std::numeric_limits<
+                                                    double>::infinity());
+            }
+            mon.recordCpi(cpi);
+            ref.recordCpi(cpi);
+            ASSERT_EQ(mon.cpiOutlier(), ref.cpiOutlier())
+                << "family " << family << ", history " << history
+                << ", sample " << i << " (" << cpi << ")";
+            outliers += ref.cpiOutlier();
+        }
+    }
+    // The streams must exercise both verdicts.
+    EXPECT_GT(outliers, steps / 100);
+    EXPECT_LT(outliers, steps / 2);
 }
 
 TEST(Monitor, CpiOutlierFastPathsThrottle)
