@@ -1,5 +1,6 @@
 #include "obs/digest.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -7,6 +8,27 @@
 
 namespace stretch::obs
 {
+namespace
+{
+
+/** FNV-1a over the bit patterns of the values fed to it. */
+class Digest
+{
+  public:
+    /** Fold the eight little-endian bytes of @p v. */
+    void u64(std::uint64_t v);
+    /** Fold the raw bit pattern of @p v. */
+    void f64(double v);
+    /** Fold the length, then the bytes, of @p s. */
+    void str(const std::string &s);
+    /** Fold a summary's count and every statistic. */
+    void summary(const stats::ViolinSummary &v);
+    /** The hash as 16 lower-case hex digits. */
+    std::string hex() const;
+
+  private:
+    std::uint64_t h = 1469598103934665603ull;
+};
 
 void
 Digest::u64(std::uint64_t v)
@@ -53,6 +75,7 @@ Digest::hex() const
     return buf;
 }
 
+/** Fold every reported field of a fleet result into @p d. */
 void
 digestInto(Digest &d, const sim::FleetResult &r)
 {
@@ -129,6 +152,8 @@ digestInto(Digest &d, const sim::FleetResult &r)
     }
     d.f64(r.effectiveBatchUipc);
 }
+
+} // namespace
 
 std::string
 digestOf(const sim::FleetResult &r)

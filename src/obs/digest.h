@@ -18,7 +18,6 @@
 #ifndef STRETCH_OBS_DIGEST_H
 #define STRETCH_OBS_DIGEST_H
 
-#include <cstdint>
 #include <string>
 
 #include "sim/fleet.h"
@@ -30,31 +29,6 @@ struct ClusterResult;
 
 namespace stretch::obs
 {
-
-/** FNV-1a over the bit patterns of the values fed to it. */
-class Digest
-{
-  public:
-    /** Fold the eight little-endian bytes of @p v. */
-    void u64(std::uint64_t v);
-    /** Fold the raw bit pattern of @p v. */
-    void f64(double v);
-    /** Fold the length, then the bytes, of @p s. */
-    void str(const std::string &s);
-    /** Fold a summary's count and every statistic. */
-    void summary(const stats::ViolinSummary &v);
-
-    /** The hash so far. */
-    std::uint64_t value() const { return h; }
-    /** The hash as 16 lower-case hex digits. */
-    std::string hex() const;
-
-  private:
-    std::uint64_t h = 1469598103934665603ull;
-};
-
-/** Fold every reported field of a fleet result into @p d. */
-void digestInto(Digest &d, const sim::FleetResult &r);
 
 /** Digest of a fleet result (see the file comment for the fields). */
 std::string digestOf(const sim::FleetResult &r);
