@@ -275,6 +275,39 @@ BM_DispatchEightCoreFleet(benchmark::State &state)
 }
 BENCHMARK(BM_DispatchEightCoreFleet);
 
+/** The dispatcher with the closed SlackDriven control loop on: eight
+ *  cores, two service classes, so every completion feeds its class's
+ *  per-core Cpi2Monitor (latency window plus CPI-proxy outlier check)
+ *  and the quantum boundaries run the decision ladder. */
+void
+BM_DispatchSlackDrivenTwoClasses(benchmark::State &state)
+{
+    sim::DispatchConfig cfg;
+    cfg.rates.assign(8, sim::ModeRates{0.55, 0.62, 0.48, 0.70});
+    cfg.requests = engineRequests / 4;
+    cfg.policy = sim::PlacementPolicy::LeastLoaded;
+    cfg.seed = 42;
+    workloads::ServiceClass interactive;
+    interactive.name = "interactive";
+    interactive.sloMs = 6.0;
+    interactive.weight = 3.0;
+    workloads::ServiceClass bulk;
+    bulk.name = "bulk";
+    bulk.meanDemand = 2.0;
+    bulk.sloMs = 25.0;
+    bulk.priority = 1;
+    cfg.classes.add(interactive);
+    cfg.classes.add(bulk);
+    cfg.control.kind = sim::ModePolicyKind::SlackDriven;
+    cfg.control.monitor.windowRequests = 64;
+    for (auto _ : state) {
+        sim::DispatchOutcome out = sim::dispatchRequests(cfg);
+        benchmark::DoNotOptimize(out.elapsedMs);
+    }
+    state.SetItemsProcessed(state.iterations() * cfg.requests);
+}
+BENCHMARK(BM_DispatchSlackDrivenTwoClasses);
+
 /** Whole-rack run end-to-end: JSQ(2) ingress steering over four 2-core
  *  nodes plus the per-node engines — the cost the cluster layer adds
  *  per simulated request. Node operating points are measured once (the
