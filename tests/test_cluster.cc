@@ -256,8 +256,9 @@ TEST(ClusterIngress, EveryPolicySteersTheFullStream)
         for (std::uint64_t s : r.ingress.steered) {
             total += s;
             nodesServing += s > 0 ? 1 : 0;
-            if (policy != cluster::IngressPolicy::FlowAffinity)
+            if (policy != cluster::IngressPolicy::FlowAffinity) {
                 EXPECT_GT(s, cfg.requests / 20);
+            }
         }
         EXPECT_EQ(total, cfg.requests);
         EXPECT_GE(nodesServing, 2u); // >= one home node per class
