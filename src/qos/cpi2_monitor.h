@@ -200,9 +200,13 @@ class Cpi2Monitor
     /** Verdict for the newest sample, computed once in recordCpi. */
     bool outlier = false;
 
+    /** Add (sign 1) or remove (sign -1) a tame prior sample. */
     void accumulatePrior(double x, double sign);
+    /** Recompute the prior sums from the ring. */
     void resyncPriorSums();
+    /** 1 or 0 when the sums decide the verdict, -1 otherwise. */
     int boundedVerdict(double newest) const;
+    /** The exact verdict: a Welford pass over the prior samples. */
     bool welfordVerdict() const;
 };
 
