@@ -337,7 +337,26 @@ class ReferenceCpiHistory
     std::vector<double> samples;
 };
 
-/** One draw of a CPI-like sample stream family. */
+constexpr int kCpiFamilies = 6;
+
+/** The parameter of one stream of a sample family (see drawCpi). */
+double
+drawCpiBase(int family, Rng &rng)
+{
+    switch (family) {
+    case 0:
+        return 0.1 + 1.5 * rng.uniform();
+    case 4:
+        return static_cast<double>(rng.between(0, 60));
+    case 5:
+        return 0.05 + rng.uniform();
+    default:
+        return std::ldexp(1.0 + rng.uniform(),
+                          static_cast<int>(rng.between(-60, 60)));
+    }
+}
+
+/** One sample of a CPI-like stream family with parameter @p base. */
 double
 drawCpi(int family, Rng &rng, double base)
 {
@@ -346,9 +365,10 @@ drawCpi(int family, Rng &rng, double base)
         return rng.chance(0.5) ? 1.0 : std::exp(base * rng.gaussian());
     case 1: // constant
         return base;
-    case 2: // near-constant: a few ulps around the base
-        return base * (1.0 + 0x1p-52 * static_cast<double>(
-                                          rng.between(-3, 3)));
+    case 2: { // near-constant: a few ulps around the base
+        const auto ulps = static_cast<double>(rng.between(-3, 3));
+        return base * (1.0 + 0x1p-52 * ulps);
+    }
     case 3: { // any sign, any exponent, subnormals, zeros, the odd NaN
         if (rng.chance(0.002))
             return std::numeric_limits<double>::quiet_NaN();
@@ -356,15 +376,15 @@ drawCpi(int family, Rng &rng, double base)
             return std::numeric_limits<double>::infinity();
         if (rng.chance(0.01))
             return 0.0;
-        double x = std::ldexp(1.0 + rng.uniform(),
-                              static_cast<int>(rng.between(-1074, 1023)));
+        const auto exp = static_cast<int>(rng.between(-1074, 1023));
+        const double x = std::ldexp(1.0 + rng.uniform(), exp);
         return rng.chance(0.3) ? -x : x;
     }
-    case 4: // a narrow exponent band of width 2^base
-        return std::ldexp(1.0 + rng.uniform(),
-                          static_cast<int>(rng.between(0, static_cast<
-                                                               std::int64_t>(
-                                                               base))));
+    case 4: { // a band of 2^base binary exponents above 1
+        const auto width = static_cast<std::int64_t>(base);
+        const auto exp = static_cast<int>(rng.between(0, width));
+        return std::ldexp(1.0 + rng.uniform(), exp);
+    }
     default: // slowdowns with 1e6 spikes entering and leaving the window
         return rng.chance(0.02) ? 1e6 : 1.0 + rng.exponential(base);
     }
@@ -372,23 +392,17 @@ drawCpi(int family, Rng &rng, double base)
 
 TEST(Monitor, CpiOutlierMatchesWelfordReference)
 {
+    constexpr double inf = std::numeric_limits<double>::infinity();
     Rng rng(20261019);
     std::uint64_t steps = 0;
     std::uint64_t outliers = 0;
     while (steps < 1200000) {
-        const int family = static_cast<int>(rng.below(6));
+        const auto family = static_cast<int>(rng.below(kCpiFamilies));
         const auto history = static_cast<std::size_t>(rng.between(1, 100));
         // Short runs keep the fewer-than-8-samples start in play.
         const auto length = static_cast<std::size_t>(
             rng.chance(0.1) ? rng.between(1, 12) : rng.between(50, 3000));
-        const double base = family == 0   ? 0.1 + 1.5 * rng.uniform()
-                            : family == 4 ? static_cast<double>(
-                                                rng.between(0, 60))
-                            : family == 5 ? 0.05 + rng.uniform()
-                                          : std::ldexp(1.0 + rng.uniform(),
-                                                       static_cast<int>(
-                                                           rng.between(-60,
-                                                                       60)));
+        const double base = drawCpiBase(family, rng);
         MonitorConfig cfg;
         cfg.cpiHistory = history;
         Cpi2Monitor mon(cfg);
@@ -399,11 +413,9 @@ TEST(Monitor, CpiOutlierMatchesWelfordReference)
             // compute, or one ulp either side of it.
             if (rng.chance(0.2)) {
                 const double t = ref.nextThreshold();
-                const int side = static_cast<int>(rng.between(-1, 1));
+                const std::uint64_t side = rng.below(3);
                 cpi = side == 0 ? t
-                                : std::nextafter(
-                                      t, side * std::numeric_limits<
-                                                    double>::infinity());
+                                : std::nextafter(t, side == 1 ? inf : -inf);
             }
             mon.recordCpi(cpi);
             ref.recordCpi(cpi);
