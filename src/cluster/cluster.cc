@@ -46,6 +46,15 @@ constexpr std::uint64_t kRingStream = 0x8119;     ///< hash-ring point salt
 constexpr std::uint64_t kFlowKeyStream = 0xf10a;  ///< class flow-key salt
 /// @}
 
+/// @name Ingress steering costs and the affinity ring's resolution.
+/// @{
+constexpr double kMigrationCostMs = 0.5; ///< a migration's in-flight latency
+constexpr double kFailoverDelayMs = 0.5; ///< re-steer delay off a dead node
+/** FlowAffinity hash-ring points per node (more points = smoother class
+ *  spread). */
+constexpr unsigned kVirtualNodesPerNode = 16;
+/// @}
+
 /** One request sitting in a node's fluid FCFS queue, not yet started. */
 struct Pending
 {
@@ -229,14 +238,14 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
         return best;
     };
 
-    // FlowAffinity hash ring: virtualNodesPerNode points per node, point
+    // FlowAffinity hash ring: kVirtualNodesPerNode points per node, point
     // position = deriveSeed(seed, ring stream, node, replica). The class
     // flow key hashes onto the ring and walks clockwise to its home.
     std::vector<std::pair<std::uint64_t, std::size_t>> ring;
     std::vector<std::uint64_t> flowKey;
     if (ing.policy == IngressPolicy::FlowAffinity) {
         for (std::size_t j = 0; j < n; ++j)
-            for (unsigned r = 0; r < ing.virtualNodesPerNode; ++r)
+            for (unsigned r = 0; r < kVirtualNodesPerNode; ++r)
                 ring.emplace_back(
                     util::deriveSeed(cfg.seed, kRingStream, j, r), j);
         std::sort(ring.begin(), ring.end());
@@ -431,7 +440,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 nv.pending.pop_front();
                 const std::size_t dest =
                     leastSignal(a.atMs, static_cast<std::size_t>(-1));
-                enqueue(nodes[dest], a.atMs + ing.failoverDelayMs,
+                enqueue(nodes[dest], a.atMs + kFailoverDelayMs,
                         p.origMs, p.demand, p.classId);
                 ++so.stats.failovers;
             }
@@ -491,7 +500,7 @@ steerArrivals(const ClusterConfig &cfg, const std::vector<double> &capacity)
                 drainTo(nv, t);
                 nv.workMs =
                     std::max(0.0, nv.workMs - p.demand / nv.capacity);
-                enqueue(nodes[dest], t + ing.migrationCostMs, p.origMs,
+                enqueue(nodes[dest], t + kMigrationCostMs, p.origMs,
                         p.demand, p.classId);
                 ++so.stats.migrations;
             }
@@ -686,11 +695,6 @@ runCluster(const ClusterConfig &cfg)
                    "signal delay must be non-negative");
     STRETCH_ASSERT(cfg.ingress.migrateSojournMs >= 0.0,
                    "migration threshold must be non-negative");
-    STRETCH_ASSERT(cfg.ingress.migrationCostMs >= 0.0 &&
-                       cfg.ingress.failoverDelayMs >= 0.0,
-                   "steering costs must be non-negative");
-    STRETCH_ASSERT(cfg.ingress.virtualNodesPerNode >= 1,
-                   "the affinity ring needs at least one point per node");
     STRETCH_ASSERT(cfg.ingress.spilloverBacklogMs > 0.0,
                    "the spillover threshold must be positive");
     STRETCH_ASSERT(!cfg.perClassArrivals || !cfg.classes.empty(),

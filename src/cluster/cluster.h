@@ -108,17 +108,6 @@ struct IngressConfig
      *  so a request never ping-pongs within one threshold window. */
     double migrateSojournMs = 0.0;
 
-    /** Latency a migrated request pays in flight between nodes. */
-    double migrationCostMs = 0.5;
-
-    /** Latency a failover pays re-steering queued work off a dead
-     *  node. */
-    double failoverDelayMs = 0.5;
-
-    /** FlowAffinity: hash-ring points per node (more points = smoother
-     *  class spread). */
-    unsigned virtualNodesPerNode = 16;
-
     /** FlowAffinity/ClassAware: spill off the preferred node when its
      *  backlog signal exceeds this many milliseconds. */
     double spilloverBacklogMs = 8.0;
@@ -139,7 +128,7 @@ struct NodeAction
         ArrivalScale,
         /** Node `node` fails: the ingress marks it dead immediately,
          *  re-steers its still-queued requests to live nodes (each pays
-         *  `failoverDelayMs`), and routes nothing to it afterwards.
+         *  a 0.5 ms failover delay), and routes nothing to it afterwards.
          *  Work already started drains (connection-drain semantics). */
         NodeFail,
         /** Node `node` serves at `value` x nominal capacity: the

@@ -458,13 +458,6 @@ ScenarioBuilder::tryBuild() const
             errors.push_back("ingress migration threshold must be >= 0 ms "
                              "(0 = off; got " +
                              num(draft.ingress.migrateSojournMs) + ")");
-        if (draft.ingress.migrationCostMs < 0.0 ||
-            draft.ingress.failoverDelayMs < 0.0)
-            errors.push_back("ingress migration/failover costs must be "
-                             ">= 0 ms");
-        if (draft.ingress.virtualNodesPerNode < 1)
-            errors.push_back("the ingress affinity ring needs at least one "
-                             "point per node");
         if (draft.ingress.spilloverBacklogMs <= 0.0)
             errors.push_back("the ingress spillover threshold must be "
                              "positive (got " +
@@ -669,7 +662,7 @@ lowerQuiet(const Scenario &s)
     fleet.opsPerRequest = s.opsPerRequest;
     fleet.seed = s.seed;
     fleet.classRouting = s.classRouting;
-    fleet.modeControl = s.control;
+    fleet.control = s.control;
     fleet.threads = s.threads;
 
     if (!s.needsCalibration()) {
@@ -703,7 +696,7 @@ lowerQuiet(const Scenario &s)
     }
 
     if (s.qosTargetFactor > 0.0)
-        fleet.modeControl.monitor.qosTarget = s.qosTargetFactor * cal.p99Ms;
+        fleet.control.monitor.qosTarget = s.qosTargetFactor * cal.p99Ms;
 
     if (s.dayRequests) {
         STRETCH_ASSERT(s.trace, "day-sized stream without a diurnal trace");
@@ -729,7 +722,7 @@ lower(const Scenario &s)
         // against the calibration probe), so compile against a copy
         // carrying the resolved monitor config.
         Scenario resolved = s;
-        resolved.control.monitor = fleet.modeControl.monitor;
+        resolved.control.monitor = fleet.control.monitor;
         fleet.incidents = compileIncidents(resolved);
     }
     return fleet;

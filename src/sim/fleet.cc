@@ -59,50 +59,9 @@ modeForSeverity(int severity)
     }
 }
 
-/**
- * The software side of one dynamically-controlled fleet core: a minimal
- * machine hosting the architectural mode register, so engaging a mode
- * programs real partition limit registers and performs the mode-change
- * flush exactly as system software would, plus the CPI²-style monitor fed
- * by request completion latencies.
- */
-struct CoreControl
-{
-    MemoryHierarchy mem;
-    BranchUnit bp;
-    SmtCore core;
-    StretchController ctrl;
-    Cpi2Monitor monitor;
-
-    /**
-     * One monitor per service class (class-tagged dispatch only), each
-     * targeting the class's own SLO at its own tail percentile, so the
-     * quantum decision can react to the tightest class on this core.
-     */
-    std::vector<Cpi2Monitor> classMonitors;
-
-    CoreControl(const ModeControlConfig &mc,
-                const workloads::ServiceClassRegistry &classes)
-        : mem([] {
-              // The control machine never executes instructions; keep its
-              // uncore allocation tiny.
-              HierarchyConfig hcfg;
-              hcfg.llcBytes = 64 * 1024;
-              hcfg.llcWayPartition = {8, 8};
-              return hcfg;
-          }()),
-          bp(BranchUnitConfig{}), core(CoreParams{}, mem, bp),
-          ctrl(core, 0, mc.bmodeSkew, mc.qmodeSkew), monitor(mc.monitor)
-    {
-        classMonitors.reserve(classes.size());
-        for (const workloads::ServiceClass &cls : classes.all()) {
-            MonitorConfig per_class = mc.monitor;
-            per_class.qosTarget = cls.sloMs;
-            per_class.tailPercentile = cls.tailPercentile;
-            classMonitors.emplace_back(per_class);
-        }
-    }
-};
+/** Fetch-cycle ratio (1:R) of the throttled operating point: the batch
+ *  thread fetches once every R cycles. */
+constexpr unsigned throttleFetchRatio = 8;
 
 } // namespace
 
@@ -435,12 +394,25 @@ dispatchRequests(const DispatchConfig &cfg)
                          Rng(cfg.seed, demandStream), cfg.seed,
                          arrivalStream);
 
-    // Controllers exist only under dynamic policies; Static runs carry no
-    // machine state, just the residency clock.
-    std::vector<std::unique_ptr<CoreControl>> controls(n);
+    // A dynamic core's control state is its monitors: one per service
+    // class, each targeting the class's own SLO at its own tail
+    // percentile, or one on `control.monitor` without classes. Static
+    // runs carry none, just the residency clock.
+    std::vector<std::vector<Cpi2Monitor>> monitors(n);
     if (dynamic) {
+        std::vector<Cpi2Monitor> fresh;
+        if (classesOn) {
+            for (const workloads::ServiceClass &cls : classesLive.all()) {
+                MonitorConfig perClass = mc.monitor;
+                perClass.qosTarget = cls.sloMs;
+                perClass.tailPercentile = cls.tailPercentile;
+                fresh.emplace_back(perClass);
+            }
+        } else {
+            fresh.emplace_back(mc.monitor);
+        }
         for (std::size_t c : servingIdx)
-            controls[c] = std::make_unique<CoreControl>(mc, classesLive);
+            monitors[c] = fresh;
     }
     std::vector<double> segStartMs(n, 0.0);
 
@@ -678,12 +650,9 @@ dispatchRequests(const DispatchConfig &cfg)
             if (classesOn)
                 bucketClassLatencies[b][c.classId].record(e2eMs);
         }
-        if (controls[c.server]) {
-            // With classes, each class feeds its own monitor (targeting
-            // the class SLO); otherwise the core's single monitor.
-            Cpi2Monitor &mon =
-                classesOn ? controls[c.server]->classMonitors[c.classId]
-                          : controls[c.server]->monitor;
+        if (!monitors[c.server].empty()) {
+            // Each class feeds its own monitor (class 0 without classes).
+            Cpi2Monitor &mon = monitors[c.server][c.classId];
             mon.recordLatency(c.latencyMs());
             // CPI analogue: sojourn-over-service slowdown of this request.
             // Queueing caused by an antagonised (or overloaded) core
@@ -698,12 +667,11 @@ dispatchRequests(const DispatchConfig &cfg)
     };
     // Quantum-boundary mode control. The hook is always part of the
     // policy type; a zero quantum (Static control) simply never fires
-    // it, so no controller state is touched.
+    // it, so no monitor is touched.
     auto quantumFn = [&](double t) {
         ++quantaFired;
         std::size_t throttledNow = 0;
         for (std::size_t c : servingIdx) {
-            CoreControl &cc = *controls[c];
             StretchMode next = mode[c];
             bool wantThrottle = static_cast<bool>(throttled[c]);
             switch (mc.kind) {
@@ -731,34 +699,25 @@ dispatchRequests(const DispatchConfig &cfg)
                 }
                 break;
             }
-            case ModePolicyKind::SlackDriven:
-                if (classesOn) {
-                    // One monitor per class, each judged against its
-                    // own SLO; the core follows the most severe vote
-                    // (the tightest class wins) and throttles when
-                    // any class's ladder orders it.
-                    int best_sev = -1;
-                    bool any_throttle = false;
-                    for (Cpi2Monitor &m : cc.classMonitors) {
-                        if (m.windowFill() == 0)
-                            continue;
-                        MonitorDecision d = m.evaluateWindowNow();
-                        best_sev =
-                            std::max(best_sev, modeSeverity(d.mode));
-                        any_throttle |= d.throttleCoRunner;
-                    }
-                    if (best_sev >= 0) {
-                        next = modeForSeverity(best_sev);
-                        wantThrottle =
-                            mc.honorThrottle && any_throttle;
-                    }
-                } else if (cc.monitor.windowFill() > 0) {
-                    MonitorDecision d = cc.monitor.evaluateWindowNow();
-                    next = d.mode;
-                    wantThrottle =
-                        mc.honorThrottle && d.throttleCoRunner;
+            case ModePolicyKind::SlackDriven: {
+                // Each monitor is judged against its own SLO; the core
+                // follows the most severe vote (the tightest class wins)
+                // and throttles when any monitor's ladder orders it.
+                int best_sev = -1;
+                bool any_throttle = false;
+                for (Cpi2Monitor &m : monitors[c]) {
+                    if (m.windowFill() == 0)
+                        continue;
+                    MonitorDecision d = m.evaluateWindowNow();
+                    best_sev = std::max(best_sev, modeSeverity(d.mode));
+                    any_throttle |= d.throttleCoRunner;
+                }
+                if (best_sev >= 0) {
+                    next = modeForSeverity(best_sev);
+                    wantThrottle = mc.honorThrottle && any_throttle;
                 }
                 break;
+            }
             case ModePolicyKind::Static:
                 break;
             }
@@ -790,7 +749,6 @@ dispatchRequests(const DispatchConfig &cfg)
             }
             ms.residencyMs[modeIndex(mode[c])] += t - segStartMs[c];
             segStartMs[c] = t;
-            cc.ctrl.engage(next); // register write + partitions + flush
             engine.chargeCapacity(c, t, mc.flushCostMs);
             ms.flushMs += mc.flushCostMs;
             ++ms.transitions;
@@ -872,11 +830,9 @@ dispatchRequests(const DispatchConfig &cfg)
             // the mode ladder judges against the new target too.
             const workloads::ServiceClass &cls = classesLive.at(a.classId);
             for (std::size_t c : servingIdx) {
-                if (controls[c] && a.classId < controls[c]->classMonitors
-                                                   .size()) {
-                    controls[c]->classMonitors[a.classId].retarget(
-                        cls.sloMs, cls.tailPercentile);
-                }
+                if (!monitors[c].empty())
+                    monitors[c][a.classId].retarget(cls.sloMs,
+                                                    cls.tailPercentile);
             }
             break;
         }
@@ -940,11 +896,6 @@ dispatchRequests(const DispatchConfig &cfg)
             if (tracer)
                 tracer->throttleEnd(c, out.elapsedMs);
         }
-        if (controls[c]) {
-            STRETCH_ASSERT(controls[c]->ctrl.modeChanges() == ms.transitions,
-                           "mode-register change count diverged from the "
-                           "dispatch timeline");
-        }
     }
     for (std::size_t c = 0; c < n; ++c) {
         out.placed[c] = engine.servers()[c].placed;
@@ -990,22 +941,14 @@ dispatchRequests(const DispatchConfig &cfg)
         }
         reg.gauge("control.mode_flush_ms") += flushTotalMs;
         reg.counter("qos.cpi_outliers") += outliers;
-        for (std::size_t c = 0; c < n; ++c) {
-            if (!controls[c])
-                continue;
-            auto absorb = [&](const Cpi2Monitor &mon) {
+        for (const std::vector<Cpi2Monitor> &coreMonitors : monitors) {
+            for (const Cpi2Monitor &mon : coreMonitors) {
                 reg.counter("qos.violation_windows") +=
                     mon.violationWindows();
                 reg.counter("qos.windows_evaluated") +=
                     mon.windowsEvaluated();
                 reg.counter("qos.monitor_throttle_orders") +=
                     mon.throttleEngagements();
-            };
-            if (classesOn) {
-                for (const Cpi2Monitor &mon : controls[c]->classMonitors)
-                    absorb(mon);
-            } else {
-                absorb(controls[c]->monitor);
             }
         }
         reg.counter("incidents.fired") += actionNext;
@@ -1062,7 +1005,7 @@ runFleet(const FleetConfig &cfg)
     STRETCH_ASSERT(cfg.slots.empty() || cfg.slots.size() == n,
                    "slots must be empty or index-matched to cores");
 
-    const ModeControlConfig &mc = cfg.modeControl;
+    const ModeControlConfig &mc = cfg.control;
     const bool dynamic = mc.kind != ModePolicyKind::Static ||
                          mc.staticMode != StretchMode::Baseline;
     // The throttled operating point is only worth simulating when the
@@ -1143,7 +1086,7 @@ runFleet(const FleetConfig &cfg)
                                          slotSkew(i, StretchMode::BatchBoost),
                                          slotSkew(i, StretchMode::QosBoost));
                     rc.fetchPolicy = FetchPolicy::Throttle;
-                    rc.throttleRatio = mc.throttleFetchRatio;
+                    rc.throttleRatio = throttleFetchRatio;
                     rc.throttledThread = 1;
                 }
                 pointResults[task] = cache.measure(rc);
@@ -1198,16 +1141,8 @@ runFleet(const FleetConfig &cfg)
     summarizeUipcSpread(fleet, cfg.cores);
 
     DispatchConfig dispatch;
-    static_cast<TrafficSpec &>(dispatch) = cfg;
+    static_cast<DispatchSpec &>(dispatch) = cfg;
     dispatch.rates = fleet.modeRates;
-    dispatch.policy = cfg.policy;
-    dispatch.seed = cfg.seed;
-    dispatch.classRouting = cfg.classRouting;
-    dispatch.incidents = cfg.incidents;
-    dispatch.control = cfg.modeControl;
-    dispatch.tracer = cfg.tracer;
-    dispatch.metrics = cfg.metrics;
-    dispatch.injected = cfg.injected;
     fleet.dispatch = dispatchRequests(dispatch);
 
     // Close the loop's throughput accounting: weight each core's batch

@@ -13,13 +13,14 @@
  * placement policy.
  *
  * On top of the shared engine sits the paper's headline *dynamic* Stretch
- * story: each serving core owns a real `StretchController` (mode register
- * + partition programming + flush) and a `Cpi2Monitor` fed by
- * request-level completion latencies, and a pluggable mode policy flips
- * the mode register at control-quantum boundaries as backlog and slack
- * change. Mode-change flush costs are charged against service capacity,
- * and per-core mode residency/transition counts are reported in the
- * dispatch outcome.
+ * story. `runFleet` measures each core's capacity at every operating
+ * point with the mode's ROB/LSQ partitions programmed, so the dispatcher
+ * models the mode register by its measured effect: each serving core
+ * holds `Cpi2Monitor`s fed by request-level completion latencies, and a
+ * pluggable mode policy flips the core's mode at control-quantum
+ * boundaries as backlog and slack change, switching its service rate
+ * and charging the mode-change flush against its capacity. Per-core mode
+ * residency/transition counts are reported in the dispatch outcome.
  *
  * The monitor's full CPI² decision ladder is closed: completion latencies
  * and CPI-style slowdown proxies feed each core's monitor, and when the
@@ -189,11 +190,7 @@ struct ModeControlConfig
      */
     bool honorThrottle = true;
 
-    /** Fetch-cycle ratio (1:R) used to measure the throttled operating
-     *  point — the batch thread fetches once every R cycles. */
-    unsigned throttleFetchRatio = 8;
-
-    /// @name Design-time skews programmed by the per-core controller.
+    /// @name Design-time skews of the B-mode and Q-mode operating points.
     /// @{
     SkewConfig bmodeSkew{56, 136};
     SkewConfig qmodeSkew{136, 56};
@@ -297,20 +294,16 @@ struct InjectedArrival
 };
 
 /**
- * Full description of a request-dispatch experiment over fixed cores.
- * The offered traffic is the inherited `TrafficSpec`: an explicit
- * `arrivalRatePerMs` is fleet-wide, and 0 resolves through
- * `offeredRatePerMs` against the summed baseline rates of the serving
- * cores. With service classes under SlackDriven control, every core gets
- * one monitor per class with the class SLO as its target, so the mode
- * ladder reacts to the tightest class on the core.
+ * The dispatch controls, declared once: placement, the stream seed, class
+ * routing, incidents, mode control and the observability taps. Both
+ * `DispatchConfig` and `FleetConfig` inherit it, and `runFleet` forwards
+ * it to the dispatcher whole. The offered traffic is the inherited
+ * `TrafficSpec`: an explicit `arrivalRatePerMs` is fleet-wide, and 0
+ * resolves through `offeredRatePerMs` against the summed baseline rates
+ * of the serving cores.
  */
-struct DispatchConfig : TrafficSpec
+struct DispatchSpec : TrafficSpec
 {
-    /** Per-mode service rates per core; a core with baseline == 0 cannot
-     *  serve (e.g. an idle LS thread). */
-    std::vector<ModeRates> rates;
-
     PlacementPolicy policy = PlacementPolicy::RoundRobin;
 
     std::uint64_t seed = 42; ///< arrival/demand/placement stream seed
@@ -328,6 +321,15 @@ struct DispatchConfig : TrafficSpec
      */
     std::vector<IncidentAction> incidents;
 
+    /**
+     * Per-core dynamic Stretch mode control. With service classes under
+     * a dynamic policy, every core gets one monitor per class with the
+     * class SLO as its target, so the mode ladder reacts to the tightest
+     * class on the core. In a fleet, any non-Static policy (or a
+     * non-Baseline static mode) makes runFleet measure each core's LS
+     * capacity under all three operating points, so the dispatcher can
+     * retime requests as the mode register flips.
+     */
     ModeControlConfig control;
 
     /// @name Observability taps (non-owning; both optional).
@@ -353,8 +355,17 @@ struct DispatchConfig : TrafficSpec
     const std::vector<InjectedArrival> *injected = nullptr;
 };
 
+/** A request-dispatch experiment over fixed cores: the dispatch spec
+ *  plus each core's per-mode service rates. */
+struct DispatchConfig : DispatchSpec
+{
+    /** Per-mode service rates per core; a core with baseline == 0 cannot
+     *  serve (e.g. an idle LS thread). */
+    std::vector<ModeRates> rates;
+};
+
 /** Latency/throughput summary of one timeline bucket (see
- *  DispatchConfig::timelineBucketMs). */
+ *  TrafficSpec::timelineBucketMs). */
 struct TimelineBucket
 {
     double startMs = 0.0;           ///< bucket start (simulated time)
@@ -500,10 +511,10 @@ struct CoreSlot
 };
 
 /**
- * Full description of a fleet experiment. The inherited `TrafficSpec`
- * is handed to the dispatcher whole (see DispatchConfig).
+ * Full description of a fleet experiment: the cores to measure plus the
+ * inherited `DispatchSpec`, which is handed to the dispatcher whole.
  */
-struct FleetConfig : TrafficSpec
+struct FleetConfig : DispatchSpec
 {
     /** One entry per SMT core; each is a complete colocation pair. */
     std::vector<RunConfig> cores;
@@ -516,40 +527,11 @@ struct FleetConfig : TrafficSpec
      */
     std::vector<CoreSlot> slots;
 
-    PlacementPolicy policy = PlacementPolicy::RoundRobin;
-
     /** Mean latency-sensitive request length in committed instructions. */
     double opsPerRequest = 500000.0;
-    std::uint64_t seed = 42; ///< dispatch arrival/demand stream seed
-
-    /** Routing/admission knobs for PlacementPolicy::ClassAware. */
-    ClassRouterConfig classRouting;
-
-    /** Scheduled mid-run incidents handed to the dispatcher (see
-     *  DispatchConfig::incidents). */
-    std::vector<IncidentAction> incidents;
-
-    /**
-     * Per-core dynamic Stretch mode control. Any non-Static policy (or a
-     * non-Baseline static mode) makes runFleet measure each core's LS
-     * capacity under all three operating points, so the dispatcher can
-     * retime requests as the mode register flips.
-     */
-    ModeControlConfig modeControl;
 
     /** Pool workers for per-core simulations: 1 = serial, 0 = hardware. */
     unsigned threads = 0;
-
-    /// @name Observability taps, forwarded to the dispatcher untouched
-    /// (see DispatchConfig; non-owning, both optional).
-    /// @{
-    obs::EngineTracer *tracer = nullptr;
-    obs::MetricRegistry *metrics = nullptr;
-    /// @}
-
-    /** Pre-steered arrival stream, forwarded to the dispatcher (see
-     *  DispatchConfig::injected; non-owning, optional). */
-    const std::vector<InjectedArrival> *injected = nullptr;
 };
 
 /**

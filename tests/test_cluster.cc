@@ -186,7 +186,7 @@ TEST(ClusterMerge, OneNodeRackMergedViewEqualsItsNode)
             workloads::ServiceClassRegistry::searchAnalyticsPair(6.0, 75.0);
         node.policy = sim::PlacementPolicy::ClassAware;
         node.classRouting.shedFactor = 0.5; // shed analytics requests
-        node.modeControl.kind = sim::ModePolicyKind::SlackDriven;
+        node.control.kind = sim::ModePolicyKind::SlackDriven;
         node.timelineBucketMs = 50.0;
         node.exactTailQuantiles = exact;
         cluster::ClusterConfig cfg = cluster::homogeneousCluster(1, node);

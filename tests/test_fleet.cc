@@ -619,9 +619,9 @@ TEST(FleetDiurnal, ReplayWithThrottlingIsBitIdenticalAcrossThreads)
     fleet.msPerHour = 15.0;
     fleet.timelineBucketMs = 15.0;
     fleet.requests = 3000;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.quantumMs = 0.5;
-    fleet.modeControl.monitor.qosTarget = 1.0;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.quantumMs = 0.5;
+    fleet.control.monitor.qosTarget = 1.0;
 
     FleetConfig serial = fleet;
     serial.threads = 1;
@@ -662,15 +662,15 @@ TEST(FleetThrottle, ClosedLoopSuppressesBatchAndMovesTheTail)
     fleet.policy = PlacementPolicy::LeastLoaded;
     fleet.requests = 8000;
     fleet.threads = 0;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.quantumMs = 0.5;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.quantumMs = 0.5;
     // Tight sojourn target at the default 70%-of-capacity load: the
     // ladder violates, steps to Q-mode, and orders throttling.
-    fleet.modeControl.monitor.qosTarget = 0.8;
+    fleet.control.monitor.qosTarget = 0.8;
 
     FleetResult throttled = runFleet(fleet);
     FleetConfig never = fleet;
-    never.modeControl.honorThrottle = false;
+    never.control.honorThrottle = false;
     FleetResult baseline = runFleet(never);
 
     // The whole comparison is thread-count independent: a serial rerun
@@ -768,8 +768,8 @@ TEST(FleetHeterogeneous, SlotsShapeMeasuredCapacity)
     fleet.policy = PlacementPolicy::LeastLoaded;
     fleet.requests = 3000;
     fleet.threads = 0;
-    fleet.modeControl.kind = ModePolicyKind::SlackDriven;
-    fleet.modeControl.monitor.qosTarget = 1.0;
+    fleet.control.kind = ModePolicyKind::SlackDriven;
+    fleet.control.monitor.qosTarget = 1.0;
 
     FleetResult r = runFleet(fleet);
 
@@ -787,13 +787,41 @@ TEST(FleetHeterogeneous, SlotsShapeMeasuredCapacity)
     EXPECT_GT(r.dispatch.placed[0], r.dispatch.placed[1]);
 }
 
+TEST(FleetHeterogeneous, WideRobFleetWideSkewsRunUnderDynamicControl)
+{
+    // Fleet-wide skews sized to a 256-entry ROB do not fit the default
+    // 192-entry one. runFleet checks them against the cores it measures,
+    // and the dispatcher must not hold them to any other ROB: every mode
+    // change has to go through under both dynamic policies.
+    RunConfig base = smallConfig();
+    base.robEntries = 256;
+    for (ModePolicyKind kind :
+         {ModePolicyKind::BacklogHysteresis, ModePolicyKind::SlackDriven}) {
+        FleetConfig fleet = homogeneousFleet(2, base);
+        fleet.requests = 400;
+        fleet.control.kind = kind;
+        fleet.control.monitor.qosTarget = 1.0;
+        fleet.control.bmodeSkew = SkewConfig{72, 184};
+        fleet.control.qmodeSkew = SkewConfig{184, 72};
+
+        FleetResult r = runFleet(fleet);
+        EXPECT_EQ(r.dispatch.latencyRecorder.count(), fleet.requests)
+            << toString(kind);
+        EXPECT_GT(r.dispatch.totalTransitions(), 0u) << toString(kind);
+        // The wide skews really were measured: B-mode's 72-entry LS
+        // share serves slower than Q-mode's 184.
+        for (const ModeRates &rates : r.modeRates)
+            EXPECT_LT(rates.bmode, rates.qmode) << toString(kind);
+    }
+}
+
 TEST(FleetDynamicModes, ClosedLoopIsBitIdenticalSerialVsParallel)
 {
     FleetConfig fleet = homogeneousFleet(3, smallConfig());
     fleet.requests = 4000;
     fleet.policy = PlacementPolicy::LeastLoaded;
-    fleet.modeControl.kind = ModePolicyKind::BacklogHysteresis;
-    fleet.modeControl.quantumMs = 0.5;
+    fleet.control.kind = ModePolicyKind::BacklogHysteresis;
+    fleet.control.quantumMs = 0.5;
 
     FleetConfig serial = fleet;
     serial.threads = 1;

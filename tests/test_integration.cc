@@ -215,5 +215,28 @@ TEST(Integration, MatchedSamplingAcrossCoRunners)
     EXPECT_NE(a.totalCycles, b.totalCycles);
 }
 
+TEST(LsLsColocation, SkewHelpsHighLoadServiceAgainstLowLoadService)
+{
+    // Section IV-D, "Colocation options": two latency-sensitive threads,
+    // one at high load (thread 0) and one at low load (thread 1) — the
+    // skewed configuration should preserve the loaded service's
+    // performance at a cost borne by the idle-ish one.
+    sim::RunConfig rc;
+    rc.samples = 2;
+    rc.warmupOps = 4000;
+    rc.measureOps = 12000;
+    rc.workload0 = "web_search";
+    rc.workload1 = "data_serving";
+    sim::RunResult equal = sim::run(rc);
+
+    rc.rob.kind = sim::RobConfigKind::Asymmetric;
+    rc.rob.limit0 = 136; // loaded service gets the bulk
+    rc.rob.limit1 = 56;
+    sim::RunResult skewed = sim::run(rc);
+
+    EXPECT_GE(skewed.uipc[0], equal.uipc[0] * 0.99);
+    EXPECT_LT(skewed.uipc[1], equal.uipc[1] * 1.02);
+}
+
 } // namespace
 } // namespace stretch

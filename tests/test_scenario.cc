@@ -356,7 +356,7 @@ TEST(ScenarioCalibration, ResolvesLoadFractionsAndQosTarget)
         capacity += r;
 
     EXPECT_DOUBLE_EQ(lowered.arrivalRatePerMs, 0.5 * capacity);
-    EXPECT_DOUBLE_EQ(lowered.modeControl.monitor.qosTarget,
+    EXPECT_DOUBLE_EQ(lowered.control.monitor.qosTarget,
                      4.0 * probe_result.dispatch.latencyMs.p99);
 
     // Under a trace the mean-load target divides by the trace mean, and
